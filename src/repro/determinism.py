@@ -5,22 +5,56 @@ that must be reproducible across runs (address churn schedules, snapshot
 sampling, annotation gaps) goes through these helpers instead.  They are
 keyed hashes over the repr of their arguments via BLAKE2b — deterministic,
 well mixed, and cheap.
+
+A key is encoded by :func:`key_bytes` as each part's ``repr()`` followed
+by a ``0x1f`` field separator, and :func:`stable_hash` digests that one
+buffer.  BLAKE2b is a streaming hash, so a key that shares a prefix with
+many others (one domain's draw for each of 49 months) can hash the
+prefix once: :func:`prefix_hasher` keeps the hash state after the prefix
+and ``copy()``-s it per suffix, giving exactly
+``stable_hash(*prefix, *suffix)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import Sequence
+from typing import Callable, Sequence
+
+
+def key_bytes(*parts: object) -> bytes:
+    """The bytes :func:`stable_hash` digests for *parts*.
+
+    The field separator keeps ``("ab", "c")`` distinct from ``("a", "bc")``.
+    """
+    return b"".join([repr(part).encode() + b"\x1f" for part in parts])
 
 
 def stable_hash(*parts: object) -> int:
     """A deterministic 64-bit hash of the argument tuple."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")  # field separator so ("ab","c") != ("a","bc")
-    return struct.unpack("<Q", h.digest())[0]
+    digest = hashlib.blake2b(key_bytes(*parts), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def prefix_hasher(*prefix: object) -> Callable[[bytes], int]:
+    """Hash many keys that start with *prefix*, hashing the prefix once.
+
+    The returned function maps ``key_bytes(*suffix)`` to
+    ``stable_hash(*prefix, *suffix)``.
+
+    >>> hash_month = prefix_hasher(7, "adopt", "a.example")
+    >>> hash_month(key_bytes(2021, 4)) == stable_hash(
+    ...     7, "adopt", "a.example", 2021, 4
+    ... )
+    True
+    """
+    state = hashlib.blake2b(key_bytes(*prefix), digest_size=8)
+
+    def hash_suffix(suffix: bytes) -> int:
+        clone = state.copy()
+        clone.update(suffix)
+        return int.from_bytes(clone.digest(), "little")
+
+    return hash_suffix
 
 
 def stable_uniform(*parts: object) -> float:

@@ -25,11 +25,14 @@ every figure in the paper:
 
 from __future__ import annotations
 
+import bisect
 import datetime
 from dataclasses import dataclass, field
 
 from repro.dates import STUDY_END, STUDY_START, month_range, second_wednesday
 from repro.determinism import (
+    key_bytes,
+    prefix_hasher,
     stable_hash,
     stable_sample_count,
     stable_uniform,
@@ -96,6 +99,12 @@ _FR_FRACTION = 0.12
 
 #: Fraction of dual-stack domains reached through a CNAME alias.
 _ALIAS_FRACTION = 0.15
+
+#: The study-window months, their 28th days (the ONESHOT cut-off) and
+#: their encoded hash-key suffixes, built once for every domain.
+_STUDY_MONTHS: tuple[tuple[int, int], ...] = tuple(month_range(STUDY_START, STUDY_END))
+_STUDY_MONTH_28THS = tuple(datetime.date(y, m, 28) for y, m in _STUDY_MONTHS)
+_STUDY_MONTH_KEYS = tuple(key_bytes(y, m) for y, m in _STUDY_MONTHS)
 
 #: Tier mixes by deployment style (ordinary orgs use the config weights).
 _ALIGNED_TIER_WEIGHTS = {
@@ -499,23 +508,20 @@ class _ServiceBuilder:
         return frozenset({primary})
 
     def _oneshot_month(self, name: str, created: datetime.date) -> tuple[int, int]:
-        months = [
-            (y, m)
-            for y, m in month_range(STUDY_START, STUDY_END)
-            if datetime.date(y, m, 28) >= created
-        ]
+        # The months whose 28th is on or after *created*: a suffix of
+        # the (ascending) study window.
+        months = _STUDY_MONTHS[bisect.bisect_left(_STUDY_MONTH_28THS, created):]
         if not months:
-            months = [STUDY_END]
+            months = (STUDY_END,)
         return months[stable_hash(self.seed, "oneshot", name) % len(months)]
 
     def _ds_adoption_date(self, name: str) -> datetime.date | None:
-        """First month a single-stack domain publishes AAAA; None = never.
-        (Returned as date.max sentinel-free: caller stores date or None.)"""
-        for year, month in month_range(STUDY_START, STUDY_END):
-            if (
-                stable_uniform(self.seed, "adopt", name, year, month)
-                < self.config.ds_adoption_monthly
-            ):
+        """First month a single-stack domain publishes AAAA, or None if it
+        never does (the caller stores None as ``date.max``)."""
+        hash_month = prefix_hasher(self.seed, "adopt", name)
+        probability = self.config.ds_adoption_monthly
+        for (year, month), key in zip(_STUDY_MONTHS, _STUDY_MONTH_KEYS):
+            if hash_month(key) / 2**64 < probability:
                 return second_wednesday(year, month)
         return None
 

@@ -25,13 +25,14 @@ from typing import Iterator
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.dates import REFERENCE_DATE, month_range
-from repro.determinism import stable_hash, stable_uniform
+from repro.determinism import key_bytes, prefix_hasher, stable_hash, stable_uniform
 from repro.dns.openintel import DnsSnapshot, SnapshotSeries
 from repro.dns.records import ResourceRecord
 from repro.dns.toplists import FR_CCTLD_ADDED, ToplistSchedule
 from repro.dns.zone import Zone
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
+from repro.obs.tracing import trace
 from repro.orgs.as2org import As2Org
 from repro.orgs.asdb import AsdbDataset
 from repro.orgs.hypergiants import HgCdnRegistry
@@ -50,13 +51,20 @@ from repro.synth.services import (
 )
 from repro.synth.topology import Population, build_population
 
-#: Churn events are sampled over this month window.
+#: Churn events are sampled over this month window; an event strikes
+#: on the 15th of its month.  A schedule hashes ``"count"`` and then each
+#: event index; a monthly probability is at most 1, so there are never
+#: more events than months and ``_INDEX_KEYS`` covers every index.
 _CHURN_WINDOW: tuple[tuple[int, int], tuple[int, int]] = ((2018, 1), (2024, 12))
+_CHURN_DAYS = tuple(datetime.date(y, m, 15) for y, m in month_range(*_CHURN_WINDOW))
+_COUNT_KEY = key_bytes("count")
+_INDEX_KEYS = tuple(key_bytes(index) for index in range(len(_CHURN_DAYS)))
 
 
 class _SmallCache:
     """A tiny FIFO cache: zones and snapshots are large, so only the few
-    most recently used dates stay resident."""
+    most recently stored dates stay resident (reads do not refresh an
+    entry; the oldest insertion is evicted first)."""
 
     def __init__(self, capacity: int):
         self._capacity = capacity
@@ -129,21 +137,16 @@ class Universe:
         cached = self._churn_cache.get(key)
         if cached is not None:
             return cached
-        months = list(month_range(*_CHURN_WINDOW))
-        expected = monthly_probability * len(months)
+        hash_suffix = prefix_hasher(self.config.seed, kind, name, family)
+        expected = monthly_probability * len(_CHURN_DAYS)
         count = int(expected)
-        if stable_uniform(self.config.seed, kind, name, family, "count") < (
-            expected - count
-        ):
+        if hash_suffix(_COUNT_KEY) / 2**64 < expected - count:
             count += 1
-        picks: set[int] = set()
-        for index in range(count):
-            picks.add(
-                stable_hash(self.config.seed, kind, name, family, index) % len(months)
-            )
-        dates = sorted(
-            datetime.date(months[i][0], months[i][1], 15) for i in picks
-        )
+        picks = {
+            hash_suffix(index_key) % len(_CHURN_DAYS)
+            for index_key in _INDEX_KEYS[:count]
+        }
+        dates = sorted(_CHURN_DAYS[i] for i in picks)
         self._churn_cache[key] = dates
         return dates
 
@@ -361,9 +364,10 @@ class Universe:
         cached = self._snapshot_cache.get(when)
         if cached is not None:
             return cached
-        snapshot = DnsSnapshot.measure(
-            self.zone_at(when), self.queried_names_at(when), when
-        )
+        with trace("synth.snapshot_at"):
+            snapshot = DnsSnapshot.measure(
+                self.zone_at(when), self.queried_names_at(when), when
+            )
         self._snapshot_cache.put(when, snapshot)
         return snapshot
 
@@ -474,6 +478,7 @@ class Universe:
 
 def build_universe(config: ScenarioConfig | str) -> Universe:
     """Build a universe from a config or preset name."""
-    if isinstance(config, str):
-        config = scenario(config)
-    return Universe(config)
+    with trace("synth.build_universe"):
+        if isinstance(config, str):
+            config = scenario(config)
+        return Universe(config)

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.determinism
 import repro.dns.zone
 import repro.nettypes.prefix
 import repro.nettypes.sets
@@ -17,6 +18,7 @@ import repro.storage.archive
 import repro.storage.format
 
 MODULES = (
+    repro.determinism,
     repro.nettypes.prefix,
     repro.nettypes.trie,
     repro.nettypes.sets,

@@ -1,0 +1,95 @@
+"""Golden end-to-end fingerprints of the synthetic universe.
+
+Synthesis keys every pseudo-random draw on
+:func:`repro.determinism.stable_hash`, which hashes the ``repr()`` of its
+arguments.  A refactor of the hashing or the month tables, or a Python
+release that changes a ``repr()``, would silently move every address,
+route and published pair.  These sha256 pins make any such drift fail
+tier-1 on every Python version in the CI matrix:
+
+* the reference-date snapshot's observations, sorted by domain,
+* the reference-date RIB's routes and origin sets, and
+* the ``repro detect --tune 28,96 --format csv`` export, which must
+  also equal the pin the benchmark checks (``perfbench/workloads.py``).
+"""
+
+import hashlib
+
+import pytest
+
+from repro.cli import main
+from repro.dates import REFERENCE_DATE
+from repro.synth import build_universe
+
+#: scale -> (snapshot observations, RIB routes, detect CSV) sha256.
+GOLDEN = {
+    "tiny": (
+        "b5fd591ee9cafd405928158c4f91c408a86be5c7a3949fdaf8a1bf330dfb5c9b",
+        "7b03eb363a2e09b1ae0ddae82b57880f1c84ad39bdfc3a007131cae1337020ba",
+        "d05c291acd4b84b9dc7ec66543bb0497d186f4765821ab69f306be15851e2679",
+    ),
+    "small": (
+        "bb59754302700542c059d00802c3e12e9eaa34fc73d5351665421e5b8ee13527",
+        "c6d59e5828bcd9eeb1437eb02c6bbefaa186d8f4779c4cec6d1b41cc552e3c35",
+        "858e0d00bfde9fbc6fcee18c5fc9daadb195eeb9ae252e7225a86ae96309cafd",
+    ),
+}
+
+SCALES = sorted(GOLDEN)
+
+
+def _digest(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def observations_fingerprint(universe) -> str:
+    """sha256 over ``domain|v4,...|v6,...`` lines, sorted by domain."""
+    snapshot = universe.snapshot_at(REFERENCE_DATE)
+    return _digest(
+        f"{o.domain}|{','.join(map(str, o.v4_addresses))}"
+        f"|{','.join(map(str, o.v6_addresses))}"
+        for o in sorted(snapshot.observations(), key=lambda o: o.domain)
+    )
+
+
+def rib_fingerprint(universe) -> str:
+    """sha256 over ``prefix|origin,...`` lines, in prefix order."""
+    rib = universe.rib_at(REFERENCE_DATE)
+    return _digest(
+        f"{route.prefix}|{','.join(map(str, sorted(route.origins)))}"
+        for route in sorted(rib.routes(), key=lambda route: route.prefix)
+    )
+
+
+@pytest.fixture(scope="module", params=SCALES)
+def scaled_universe(request):
+    return request.param, build_universe(request.param)
+
+
+def test_snapshot_observations_pinned(scaled_universe):
+    scale, universe = scaled_universe
+    assert observations_fingerprint(universe) == GOLDEN[scale][0]
+
+
+def test_rib_routes_pinned(scaled_universe):
+    scale, universe = scaled_universe
+    assert rib_fingerprint(universe) == GOLDEN[scale][1]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_detect_csv_pinned(scale, tmp_path):
+    out = tmp_path / f"{scale}.csv"
+    argv = ["detect", "--scenario", scale, "--tune", "28,96", "--format", "csv"]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[scale][2]
+
+
+def test_csv_pins_match_the_benchmark():
+    workloads = pytest.importorskip("perfbench.workloads")
+    assert {scale: pins[2] for scale, pins in GOLDEN.items()} == (
+        workloads.DETECT_CSV_SHA256
+    )

@@ -165,6 +165,11 @@ def test_detect_stats_cli(fresh_registry, capsys):
     err = capsys.readouterr().err
     assert "step3.accumulate" in err
     assert "wall_ms/call" in err
+    # Synthesis, the dominant layers of a detect run, is attributed too.
+    rows = err.splitlines()
+    for stage in ("synth.build_universe", "synth.snapshot_at"):
+        (row,) = [line for line in rows if line.split()[:1] == [stage]]
+        assert row.split()[1] == "1", row  # one build, one snapshot
 
 
 # -- worker endpoints --------------------------------------------------------
