@@ -5,16 +5,15 @@ clock reads on entry, two on exit, one histogram observe) and never
 inside per-item loops, so ``detect`` with telemetry on must cost within
 3% of telemetry off.  This bench drives the columnar engine's Step 3+4
 ``select`` over a dense synthetic membership index (the
-``bench_parallel_detect.py`` medium shape, ~512k pair rows) with spans
+``bench_step3_kernels.py`` medium shape, ~512k pair rows) with spans
 **enabled** vs **disabled** (:func:`repro.obs.tracing.set_enabled`),
 alternating legs best-of-N so clock drift hits both equally.
 
 The <3% bar is asserted **only on hosts with 2+ cores** — on a shared
 1-core container scheduler noise swamps a single-digit-percent signal,
-so the measured ratio is recorded with a skip note instead (the
-``bench_parallel_detect.py`` convention).  Results land in
-``results/obs_overhead.txt``, labeled with the kernel that ran the
-traced region: the vectorized kernel shrinks the select itself ~5x,
+so the measured ratio is recorded with a skip note instead.  Results
+land in ``results/obs_overhead.txt``, labeled with the kernel that ran
+the traced region: the vectorized kernel shrinks the select itself ~5x,
 so the same fixed span cost reads as a larger *ratio* on a numpy host
 even though the absolute overhead is unchanged — the blocking CI
 guard runs the python kernel (its job installs no numpy), which is

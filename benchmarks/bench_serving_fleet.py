@@ -19,8 +19,7 @@ server, no coordinated omission).  Results land in
 
 The PR 6 acceptance bar — ≥ 1.6× q/s scaling from 1 to 2 workers on
 the point mix — is asserted **only on hosts with 2+ cores**; a 1-core
-container records the measured ratio with a skip note instead (the
-``bench_parallel_detect.py`` convention).  Timing is
+container records the measured ratio with a skip note instead.  Timing is
 ``time.perf_counter`` / wall-clock based, so the module still runs
 once, untimed, under CI's ``--benchmark-disable`` smoke job.
 """
@@ -225,8 +224,7 @@ def test_fleet_scaling_recorded(fleet_archive):
         else:
             _LINES.append(
                 f"scaling: {mix.name} mix 1->2 workers {ratio:.2f}x "
-                f"(1-core container: {SCALING_BAR}x bar not asserted, "
-                f"matching the bench_parallel_detect convention)"
+                f"(1-core container: {SCALING_BAR}x bar not asserted)"
             )
     _flush_results()
     if cores >= 2:

@@ -4,9 +4,7 @@ All entry points accept a ``substrate=`` argument (name or
 :class:`~repro.core.substrate.Substrate` instance) and default to the
 shared columnar engine; :func:`detect_series` resolves the substrate
 once so a longitudinal run reuses one interned domain table across every
-snapshot it detects on.  A ``workers=`` argument rides along everywhere
-for the parallel ``"sharded"`` engine (worker-process count, ``0`` =
-all cores); single-process substrates ignore it.
+snapshot it detects on.
 
 :func:`detect_series` additionally offers ``incremental=True``: date 0
 is detected from scratch, every later date applies the snapshot delta to
@@ -48,14 +46,11 @@ def detect_at(
     universe: Universe,
     date: datetime.date,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> tuple[SiblingSet, PrefixDomainIndex]:
     """Default-case (BGP-announced) sibling detection on one date."""
     snapshot = universe.snapshot_at(date)
     annotator = universe.annotator_at(date)
-    return detect_with_index(
-        snapshot, annotator, substrate=substrate, workers=workers
-    )
+    return detect_with_index(snapshot, annotator, substrate=substrate)
 
 
 def tuned_at(
@@ -63,12 +58,9 @@ def tuned_at(
     date: datetime.date,
     config: TunerConfig = TunerConfig(),
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> tuple[SiblingSet, PrefixDomainIndex]:
     """SP-Tuner-refined sibling detection on one date."""
-    siblings, index = detect_at(
-        universe, date, substrate=substrate, workers=workers
-    )
+    siblings, index = detect_at(universe, date, substrate=substrate)
     tuner = SpTunerMS(index, config)
     return tuner.tune_all(siblings), index
 
@@ -77,7 +69,6 @@ def detect_series(
     universe: Universe,
     dates: Iterable[datetime.date],
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
     incremental: bool = False,
     archive: "str | pathlib.Path | None" = None,
 ) -> list[tuple[datetime.date, SiblingSet]]:
@@ -85,10 +76,7 @@ def detect_series(
 
     The resolved substrate is threaded through all snapshots, so the
     columnar engine interns each domain string once for the whole run
-    rather than once per date — and the sharded engine shards every
-    snapshot with the same worker configuration while reusing that same
-    intern pool (workers receive interned integer arrays, never the
-    pool itself).
+    rather than once per date.
 
     With ``incremental=True`` the first date builds its index in full;
     each subsequent date computes the
@@ -112,7 +100,7 @@ def detect_series(
     diverged from the archived one, a fresh private engine of the same
     class is used for the run instead.
     """
-    engine = get_substrate(substrate, workers=workers)
+    engine = get_substrate(substrate)
     if archive is not None:
         return _detect_series_archived(
             universe, list(dates), engine, incremental, pathlib.Path(archive)
@@ -184,7 +172,7 @@ class _StandalonePool:
 def _pool_for_archive(engine: Substrate, pool_names: list[str]):
     """The (engine, pool) pair an archived run writes gids against.
 
-    A columnar-family engine must share its intern pool with the
+    A columnar engine must share its intern pool with the
     archive (archived state CSR data *is* pool gids); adoption fails
     only when this process's shared engine already interned a
     different universe, in which case a fresh private engine of the
@@ -195,9 +183,6 @@ def _pool_for_archive(engine: Substrate, pool_names: list[str]):
             engine.adopt_pool(pool_names)
         except ValueError:
             fresh = type(engine)()
-            for attribute in ("workers", "min_pair_rows"):
-                if hasattr(engine, attribute):
-                    setattr(fresh, attribute, getattr(engine, attribute))
             fresh.adopt_pool(pool_names)
             engine = fresh
         return engine, engine
@@ -373,7 +358,6 @@ def archive_detection(
     siblings: SiblingSet,
     index: "PrefixDomainIndex | None" = None,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
     published: "list | None" = None,
     raw: bool = True,
 ) -> pathlib.Path:
@@ -384,7 +368,7 @@ def archive_detection(
     sibling list, a compiled lookup index (built from *published*
     enriched pairs when given, else from the raw *siblings*), and —
     when *index* is the detection's :class:`PrefixDomainIndex` and the
-    engine is columnar-family — the substrate state, so a later
+    engine is columnar — the substrate state, so a later
     ``detect-series --archive --incremental`` resumes from this date.
     A date already archived is skipped (appends are idempotent per
     date).  Creates the archive if missing; returns its path.
@@ -392,7 +376,7 @@ def archive_detection(
     from repro.storage.archive import ArchiveReader
 
     path = pathlib.Path(archive)
-    engine = get_substrate(substrate, workers=workers)
+    engine = get_substrate(substrate)
     pool_names: list[str] = []
     if path.exists():
         with ArchiveReader.open(path) as reader:
@@ -416,7 +400,6 @@ def serve_series(
     dates: Iterable[datetime.date],
     substrate: "str | Substrate | None" = None,
     cache_size: int = 4096,
-    workers: int | None = None,
     incremental: bool = False,
 ):
     """Detect on every date and publish each snapshot into a fresh
@@ -439,8 +422,7 @@ def serve_series(
     service = SiblingQueryService(cache_size=cache_size)
     published: SiblingSet | None = None
     for _date, siblings in detect_series(
-        universe, dates, substrate=substrate, workers=workers,
-        incremental=incremental,
+        universe, dates, substrate=substrate, incremental=incremental,
     ):
         if published is not None and published.same_pairs(siblings):
             continue
@@ -457,7 +439,6 @@ def serve_series_fleet(
     host: str = "127.0.0.1",
     port: int = 0,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
     incremental: bool = False,
 ):
     """Detect the series into *archive*, then serve it with a fleet.
@@ -478,7 +459,6 @@ def serve_series_fleet(
         universe,
         dates,
         substrate=substrate,
-        workers=workers,
         incremental=incremental,
         archive=archive,
     )

@@ -112,7 +112,10 @@ def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bad UTF-8 and integer
+        # literals over the int-digit limit; RecursionError, files
+        # nested deeper than the decoder's stack.
         raise WatchError(f"cannot read snapshot file {path}: {exc}") from exc
     try:
         if payload["format_version"] != SNAPSHOT_FORMAT_VERSION:
@@ -266,7 +269,6 @@ class SnapshotWatcher:
         service=None,
         fleet=None,
         substrate: "str | Substrate | None" = None,
-        workers: "int | None" = None,
         budget_seconds: "float | None" = None,
         poll_interval: float = 0.5,
         registry: "MetricsRegistry | None" = None,
@@ -303,7 +305,7 @@ class SnapshotWatcher:
                 if substrate_io.SIBLINGS_KIND in generation.meta
             }
         self._engine, self._pool = _pool_for_archive(
-            get_substrate(substrate, workers=workers), pool_names
+            get_substrate(substrate), pool_names
         )
 
         self.generations = len(self._archived)

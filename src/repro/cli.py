@@ -34,7 +34,7 @@ Subcommands:
   committed generation.
 
 ``detect`` and ``detect-series`` accept ``--stats`` to print the
-per-stage wall/CPU timing table (Steps 1-4, per-shard) recorded by the
+per-stage wall/CPU timing table (Steps 1-4) recorded by the
 telemetry layer (:mod:`repro.obs`) after the run.
 
 Exit codes: 0 success, 1 lookup miss, 2 usage/input error.
@@ -57,22 +57,13 @@ from repro.dates import REFERENCE_DATE
 
 
 def _add_substrate_options(command: argparse.ArgumentParser) -> None:
-    """The shared Step 3-4 engine flags (``--substrate``, ``--workers``)."""
+    """The shared Step 3-4 engine flags (``--substrate``, ``--kernel``)."""
     command.add_argument(
         "--substrate",
         choices=sorted(SUBSTRATES),
         default=DEFAULT_SUBSTRATE,
         help="Step 3-4 engine (columnar: interned posting lists; "
-        "sharded: columnar Step 3 across worker processes; "
         "reference: the paper-literal dict-of-sets path)",
-    )
-    command.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --substrate sharded "
-        "(0 = all cores; small inputs fall back to single-process)",
     )
     command.add_argument(
         "--kernel",
@@ -86,7 +77,7 @@ def _add_substrate_options(command: argparse.ArgumentParser) -> None:
         "--stats",
         action="store_true",
         help="after the run, print the per-stage wall/CPU timing table "
-        "(Steps 1-4, per-shard, kernel-labeled) to stderr",
+        "(Steps 1-4, kernel-labeled) to stderr",
     )
 
 
@@ -403,7 +394,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         universe.snapshot_at(REFERENCE_DATE),
         universe.annotator_at(REFERENCE_DATE),
         substrate=args.substrate,
-        workers=args.workers,
     )
     if args.tune:
         config = _parse_thresholds(args.tune)
@@ -438,7 +428,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             siblings,
             index=index,
             substrate=args.substrate,
-            workers=args.workers,
             published=published,
             raw=not (args.tune or args.min_jaccard > 0.0),
         )
@@ -509,7 +498,6 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
         universe,
         dates,
         substrate=args.substrate,
-        workers=args.workers,
         incremental=args.incremental,
         archive=args.archive,
     )
@@ -613,7 +601,6 @@ def _scenario_results_via_watch(universe, args) -> list:
             universe.annotator_at,
             archive,
             substrate=args.substrate,
-            workers=args.workers,
         )
         watcher.run(once=True)
         with ArchiveReader.open(archive) as reader:
@@ -662,7 +649,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             universe,
             universe.dates,
             substrate=args.substrate,
-            workers=args.workers,
             incremental=not args.full,
             archive=args.archive,
         )
@@ -888,7 +874,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             args.archive,
             service=service,
             substrate=args.substrate,
-            workers=args.workers,
             budget_seconds=args.budget or None,
             poll_interval=args.poll_interval,
         )

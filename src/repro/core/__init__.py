@@ -8,9 +8,6 @@
 * :mod:`repro.core.substrate` — pluggable Step 3-4 engines: the
   paper-literal ``"reference"`` path and the interned, posting-list
   ``"columnar"`` production engine.
-* :mod:`repro.core.parallel` — the ``"sharded"`` engine: the columnar
-  Step 3 accumulation partitioned by v4 group key across
-  ``multiprocessing`` workers.
 * :mod:`repro.core.siblings` — result containers.
 * :mod:`repro.core.sptuner` — the SP-Tuner algorithm, more-specific
   (Algorithm 1) and less-specific (Algorithm 2) variants.
@@ -22,7 +19,6 @@ from repro.core.detection import BestMatchMode, compute_pair_stats, detect_sibli
 from repro.core.domainsets import PrefixDomainIndex, build_index
 from repro.core.metrics import dice, jaccard, overlap_coefficient
 from repro.core.longitudinal import ChangeClass, classify_changes
-from repro.core.parallel import ShardedDetectionError, ShardedSubstrate
 from repro.core.sensitivity import SensitivityCell, sweep_thresholds
 from repro.core.siblings import SiblingPair, SiblingSet
 from repro.core.sptuner import SpTunerLS, SpTunerMS, TunerConfig
@@ -41,8 +37,6 @@ __all__ = [
     "ColumnarSubstrate",
     "DEFAULT_SUBSTRATE",
     "PrefixDomainIndex",
-    "ShardedDetectionError",
-    "ShardedSubstrate",
     "ReferenceSubstrate",
     "SensitivityCell",
     "SiblingPair",

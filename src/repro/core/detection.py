@@ -139,16 +139,13 @@ def detect_siblings(
     metric: str = "jaccard",
     mode: BestMatchMode = BestMatchMode.EITHER,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> SiblingSet:
     """The full four-step pipeline on one snapshot.
 
     *substrate* picks the Step 3-4 engine — a name from
     :data:`repro.core.substrate.SUBSTRATES` or a
     :class:`~repro.core.substrate.Substrate` instance; ``None`` means the
-    default (columnar).  *workers* configures parallel engines (the
-    ``"sharded"`` substrate's process count; ``0`` = all cores) and is
-    ignored by single-process substrates.
+    default (columnar).
 
     >>> siblings = detect_siblings(universe.snapshot_at(date),
     ...                            universe.annotator_at(date))   # doctest: +SKIP
@@ -159,7 +156,6 @@ def detect_siblings(
         metric=metric,
         mode=mode,
         substrate=substrate,
-        workers=workers,
     )[0]
 
 
@@ -169,7 +165,6 @@ def detect_with_index(
     metric: str = "jaccard",
     mode: BestMatchMode = BestMatchMode.EITHER,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> tuple[SiblingSet, PrefixDomainIndex]:
     """Like :func:`detect_siblings` but also returns the index, which the
     SP-Tuner and several analyses need."""
@@ -179,7 +174,7 @@ def detect_with_index(
     with trace("step12.build_index") as span:
         index = build_index(snapshot, annotator)
         span.add_items(len(index.domain_v4_prefixes))
-    engine = get_substrate(substrate, workers=workers)
+    engine = get_substrate(substrate)
     with trace("step34.select") as span:
         result = engine.select(index, metric=metric, mode=mode)
         span.add_items(len(result))

@@ -95,14 +95,9 @@ def index_from_rdns(
 def siblings_from_index(
     index: PrefixDomainIndex,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> SiblingSet:
-    """Steps 3-4 over any pre-built index, on the chosen substrate.
-
-    *workers* configures parallel engines (see
-    :func:`repro.core.substrate.get_substrate`); others ignore it.
-    """
-    return get_substrate(substrate, workers=workers).select(index)
+    """Steps 3-4 over any pre-built index, on the chosen substrate."""
+    return get_substrate(substrate).select(index)
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,20 +19,20 @@ Both kernels are **bit-identical**: every similarity is an IEEE-754
 float64 produced by the same division of the same integers (exact in
 both runtimes below 2**53 operands), and the best-match/tie arithmetic
 is order-independent, so the hypothesis differential suite holds
-{reference, columnar, sharded} x {python, numpy} to one output.
+{reference, columnar} x {python, numpy} to one output.
 
 Selection happens at import: numpy importable -> ``numpy``, else
 ``python``.  The ``REPRO_KERNEL`` environment variable pins a kernel
 (``REPRO_KERNEL=numpy`` without numpy installed raises
 :class:`KernelUnavailableError` — a silent fallback would invalidate
 benchmarks), and the CLI ``--kernel`` flag calls :func:`set_kernel`
-per run.  :func:`set_kernel` also exports ``REPRO_KERNEL`` so worker
+per run.  :func:`set_kernel` also exports ``REPRO_KERNEL`` so child
 processes spawned later re-select the same kernel.
 
 Counter state crosses the seam as :class:`PairCounts` — a ``Counter``
 on the python kernel, sorted key/count columns on numpy — with one
-mapping-style API, so the substrate, the sharded engine, the delta
-patch path, and the archive round-trip never touch backend types.
+mapping-style API, so the substrate, the delta patch path, and the
+archive round-trip never touch backend types.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import abc
 import os
 from array import array
 from collections import Counter
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable
 
 from repro.core.metrics import METRICS_FROM_COUNTS
 
@@ -359,25 +359,6 @@ class Kernel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def accumulate_packed(self, bases_data, bases_offsets, rows_data, rows_offsets):
-        """Step-3 accumulation over one CSR shard payload.
-
-        The worker-process entry: consumes the pickle-light flat
-        columns (:func:`repro.core.parallel.build_shard_payloads`) and
-        returns ``(keys, counts)`` columns — buffer-backed, picklable,
-        keys unique and sorted is *not* guaranteed for the python
-        kernel (insertion order) but keys are always distinct.
-        """
-
-    @abc.abstractmethod
-    def merge_disjoint(self, columns: Sequence[tuple]) -> PairCounts:
-        """Union per-shard ``(keys, counts)`` columns into one counter.
-
-        Shard key spaces are disjoint by construction (``v4_row %
-        n_shards`` partition), so this is a conflict-free union.
-        """
-
-    @abc.abstractmethod
     def counts_from_columns(self, keys, values) -> PairCounts:
         """Rebuild counter state from archived key/count columns.
 
@@ -431,38 +412,6 @@ class PythonKernel(Kernel):
                 for base in bases:
                     extend([base | row for row in rows])
         return PythonPairCounts(Counter(packed))
-
-    def accumulate_packed(self, bases_data, bases_offsets, rows_data, rows_offsets):
-        """Segment-wise expansion into a Counter, flattened to columns."""
-        packed: list[int] = []
-        append = packed.append
-        extend = packed.extend
-        for segment in range(len(bases_offsets) - 1):
-            b_lo = bases_offsets[segment]
-            b_hi = bases_offsets[segment + 1]
-            # tolist() once per segment: iterating a list beats iterating
-            # an array slice in the hot comprehension below.
-            rows = rows_data[
-                rows_offsets[segment] : rows_offsets[segment + 1]
-            ].tolist()
-            if b_hi - b_lo == 1:
-                base = bases_data[b_lo]
-                if len(rows) == 1:
-                    append(base | rows[0])
-                else:
-                    extend([base | row for row in rows])
-            else:
-                for base in bases_data[b_lo:b_hi].tolist():
-                    extend([base | row for row in rows])
-        counts = Counter(packed)
-        return array("Q", counts.keys()), array("I", counts.values())
-
-    def merge_disjoint(self, columns) -> PairCounts:
-        """Disjoint-key union via ``dict.update`` (no add semantics paid)."""
-        merged: Counter = Counter()
-        for keys, counts in columns:
-            dict.update(merged, zip(keys, counts))
-        return PythonPairCounts(merged)
 
     def counts_from_columns(self, keys, values) -> PairCounts:
         """Zip archived columns straight into a Counter."""
@@ -577,51 +526,6 @@ class NumpyKernel(Kernel):
         )
         keys, counts = _np.unique(packed, return_counts=True)
         return NumpyPairCounts(keys, counts.astype(_np.int64))
-
-    def accumulate_packed(self, bases_data, bases_offsets, rows_data, rows_offsets):
-        """Zero-copy cast of the shard payload, then expand + unique."""
-        if len(bases_data) == 0:
-            return (
-                _np.empty(0, dtype=_np.uint64),
-                _np.empty(0, dtype=_np.int64),
-            )
-        bases_offsets_np = _np.frombuffer(bases_offsets, dtype=_np.uint32).astype(
-            _np.int64
-        )
-        rows_offsets_np = _np.frombuffer(rows_offsets, dtype=_np.uint32).astype(
-            _np.int64
-        )
-        packed = _expand_packed(
-            _np.frombuffer(bases_data, dtype=_np.uint64),
-            _np.diff(bases_offsets_np),
-            _np.frombuffer(rows_data, dtype=_np.uint32).astype(_np.uint64),
-            _np.diff(rows_offsets_np),
-        )
-        keys, counts = _np.unique(packed, return_counts=True)
-        return keys, counts.astype(_np.int64)
-
-    def merge_disjoint(self, columns) -> PairCounts:
-        """Concatenate the disjoint columns and argsort once by key."""
-        key_parts = [
-            _np.frombuffer(keys, dtype=_np.uint64)
-            if not isinstance(keys, _np.ndarray)
-            else keys
-            for keys, _ in columns
-        ]
-        count_parts = [
-            _np.frombuffer(counts, dtype=_np.uint32).astype(_np.int64)
-            if not isinstance(counts, _np.ndarray)
-            else counts.astype(_np.int64, copy=False)
-            for _, counts in columns
-        ]
-        if not key_parts:
-            return NumpyPairCounts(
-                _np.empty(0, dtype=_np.uint64), _np.empty(0, dtype=_np.int64)
-            )
-        keys = _np.concatenate(key_parts)
-        counts = _np.concatenate(count_parts)
-        order = _np.argsort(keys, kind="stable")
-        return NumpyPairCounts(keys[order], counts[order])
 
     def counts_from_columns(self, keys, values) -> PairCounts:
         """Copy the archived columns into owned, sorted ndarrays."""
@@ -755,9 +659,9 @@ def set_kernel(name: str | None) -> str:
 
     ``None``/empty re-runs automatic selection.  The choice is also
     exported as ``REPRO_KERNEL`` so worker processes spawned after this
-    call (sharded accumulation, serving fleets) re-select the same
-    kernel; raises :class:`KernelUnavailableError` for an impossible
-    request, leaving the active kernel and environment untouched.
+    call (serving fleets) re-select the same kernel; raises
+    :class:`KernelUnavailableError` for an impossible request, leaving
+    the active kernel and environment untouched.
     """
     global _active
     resolved = resolve_kernel_name(name)

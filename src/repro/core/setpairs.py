@@ -72,7 +72,6 @@ def build_set_pairs(
     siblings: SiblingSet,
     index: PrefixDomainIndex,
     substrate: "str | Substrate | None" = None,
-    workers: int | None = None,
 ) -> list[SiblingSetPair]:
     """Group pairs into components and score them at set level.
 
@@ -81,12 +80,10 @@ def build_set_pairs(
     Domain sets are re-derived from the index so the set-level Jaccard
     is exact, not an aggregate of pair values.  The union/intersection
     work runs on the chosen substrate
-    (:meth:`~repro.core.substrate.Substrate.group_stats`); *workers*
-    configures parallel engines and is ignored by the rest — the
-    sharded engine inherits the columnar ``group_stats``, so set-pair
+    (:meth:`~repro.core.substrate.Substrate.group_stats`), so set-pair
     scoring reuses whatever posting-list state detection already built.
     """
-    engine = get_substrate(substrate, workers=workers)
+    engine = get_substrate(substrate)
     union_find = _UnionFind()
     for pair in siblings:
         # Tag-prefix the two families so an identical value/length can

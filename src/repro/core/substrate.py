@@ -18,12 +18,6 @@ ship:
   Shared-domain sets materialize lazily, only for the pairs that survive
   best-match selection.
 
-A third engine, ``"sharded"`` (:mod:`repro.core.parallel`), extends the
-columnar substrate by partitioning the packed pair space by v4 group
-key and running the Step 3 accumulation in ``multiprocessing`` workers;
-it registers itself here on import and falls back to the columnar path
-on small inputs.
-
 Both substrates are exact: for the same index, metric and mode they
 produce identical :class:`~repro.core.siblings.SiblingSet` contents
 (pairs, similarities, tie sets and shared-domain sets) — enforced by
@@ -304,7 +298,7 @@ def _build_csr(
 def accumulate_rowlists(dom_bases, dom_rows) -> PairCounts:
     """Step-3 accumulation over aligned (bases, rows) membership lists.
 
-    The single-process accumulation entry, shared by the full
+    The accumulation entry, shared by the full
     :meth:`ColumnarSubstrate.pair_counts` pass and the delta retract/add
     passes (which feed it only the touched domains' rows).  Executes on
     the active kernel (:func:`repro.core.kernels.get_kernel`) —
@@ -602,20 +596,11 @@ class ColumnarSubstrate(Substrate):
         if counts is None:
             return
         counts.patch(
-            self._accumulate_rows(retract_bases, retract_rows)
+            accumulate_rowlists(retract_bases, retract_rows)
             if retract_bases
             else None,
-            self._accumulate_rows(add_bases, add_rows) if add_bases else None,
+            accumulate_rowlists(add_bases, add_rows) if add_bases else None,
         )
-
-    def _accumulate_rows(self, dom_bases, dom_rows) -> PairCounts:
-        """Accumulate packed pair counts for a subset of domains' rows.
-
-        The delta-sized sibling of :meth:`pair_counts`; parallel engines
-        override it to route the rows through the same shard partition
-        as a full run.
-        """
-        return accumulate_rowlists(dom_bases, dom_rows)
 
     # -- Steps 3-4 -----------------------------------------------------------
 
@@ -738,20 +723,7 @@ DEFAULT_SUBSTRATE = ColumnarSubstrate.name
 _shared_instances: dict[str, Substrate] = {}
 
 
-def _ensure_registered() -> None:
-    """Import the modules whose substrates register on import.
-
-    :mod:`repro.core.parallel` depends on this module, so it cannot be
-    imported at the top without a cycle; resolving lazily here keeps
-    ``get_substrate("sharded")`` working no matter which module the
-    process imported first.
-    """
-    from repro.core import parallel  # noqa: F401  (registers "sharded")
-
-
-def get_substrate(
-    spec: "str | Substrate | None" = None, workers: int | None = None
-) -> Substrate:
+def get_substrate(spec: "str | Substrate | None" = None) -> Substrate:
     """Resolve *spec* to a substrate instance.
 
     ``None`` means :data:`DEFAULT_SUBSTRATE`.  Names resolve to a
@@ -761,20 +733,7 @@ def get_substrate(
     long-lived processes crossing unrelated universes should call
     ``get_substrate().reset_pool()`` between studies or use per-study
     instances.
-
-    *workers* configures engines that execute in parallel (the sharded
-    substrate's worker-process count; ``0`` means ``os.cpu_count()``).
-    Substrates without a worker pool ignore it.  The knob never leaks
-    between callers: resolving a *name* with ``workers=None`` resets
-    the shared instance to its class default, while passing an explicit
-    :class:`Substrate` instance leaves its configuration untouched
-    unless *workers* is given (so e.g. ``detect_series`` can configure
-    an engine once and thread it through per-date calls).  A caller
-    that needs a worker count pinned across unrelated calls should own
-    its instance (``ShardedSubstrate(workers=...)``) rather than rely
-    on the name-resolved singleton, which any caller may reconfigure.
     """
-    _ensure_registered()
     if isinstance(spec, Substrate):
         instance = spec
     else:
@@ -789,10 +748,4 @@ def get_substrate(
         if instance is None:
             instance = factory()
             _shared_instances[name] = instance
-        if workers is None:
-            default_workers = getattr(type(instance), "DEFAULT_WORKERS", None)
-            if default_workers is not None:
-                instance.workers = default_workers
-    if workers is not None and hasattr(instance, "workers"):
-        instance.workers = workers
     return instance

@@ -7,10 +7,10 @@
 * ``stage.wall_seconds`` / ``stage.cpu_seconds`` histograms,
 
 all labelled ``stage="step3.accumulate"`` (plus any extra labels, e.g.
-``shard="3"`` for per-shard Step-3 timings).  A span costs two clock
-reads on entry and two on exit — instrumentation lives at stage
-granularity, never per item, which is how the Step-3 hot path stays
-under the <3% overhead budget enforced by
+``kernel="numpy"`` for kernel-labeled Step 3-4 timings).  A span costs
+two clock reads on entry and two on exit — instrumentation lives at
+stage granularity, never per item, which is how the Step-3 hot path
+stays under the <3% overhead budget enforced by
 ``benchmarks/bench_obs_overhead.py``.
 
 The module-global default registry is what ``detect --stats`` and the
@@ -85,9 +85,8 @@ def record_stage(
 ) -> None:
     """Record one stage execution measured elsewhere.
 
-    Used where the measurement happens in another process — the
-    sharded Step-3 workers time themselves and the parent records the
-    returned ``(wall, cpu)`` here, labelled per shard.
+    The sink behind :class:`trace`; call it directly when the
+    ``(wall, cpu)`` pair was measured outside a span.
     """
     if not _enabled:
         return
@@ -161,7 +160,7 @@ def stage_rows(snapshot: dict) -> list:
 
     Each row: ``{"stage", "calls", "items", "wall_seconds",
     "cpu_seconds"}`` where the stage field carries extra labels as a
-    ``[key=value]`` suffix (``step3.shard [shard=1]``).
+    ``[key=value]`` suffix (``step4.select [kernel=numpy]``).
     """
     rows: dict = {}
     for key, count in snapshot.get("counters", {}).items():

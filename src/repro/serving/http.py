@@ -217,7 +217,10 @@ class SiblingRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, bad UTF-8 and integer
+            # literals over the int-digit limit; RecursionError, bodies
+            # nested deeper than the decoder's stack.
             self._reply(400, {"error": f"malformed JSON body: {exc}"})
             return
         queries = payload.get("queries") if isinstance(payload, dict) else None

@@ -55,7 +55,7 @@ def as_mapping(siblings):
     """Every observable field of every pair, keyed by the prefix pair.
 
     The shared definition of "two engines agree" used by the substrate
-    equivalence, differential, and parallel-engine suites — extend it
+    equivalence, differential, incremental and archive suites — extend it
     here (not in one suite) when :class:`SiblingPair` grows a field.
     """
     return {

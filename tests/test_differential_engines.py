@@ -1,7 +1,7 @@
 """Property-based differential testing across the detection engines.
 
-Three engines now compute Steps 3-4 (``reference``, ``columnar``,
-``sharded``) and three structures answer LPM lookups
+Two engines compute Steps 3-4 (``reference``, the paper-literal
+oracle, and ``columnar``) and three structures answer LPM lookups
 (:class:`SiblingLookupIndex`, :class:`PatriciaTrie`, ``scan_lookup``).
 Randomized differential testing is the cheapest way to keep them
 bit-identical: hypothesis drives synthetic inputs — direct
@@ -29,12 +29,6 @@ from repro.core.detection import BestMatchMode
 from repro.core.domainsets import PrefixDomainIndex, build_index
 from repro.core.kernels import available_kernel_names, use_kernel
 from repro.core.metrics import METRICS_FROM_COUNTS
-from repro.core.parallel import (
-    ShardedSubstrate,
-    accumulate_shard,
-    build_shard_payloads,
-    estimate_pair_rows,
-)
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import IPV4, IPV6
@@ -94,7 +88,7 @@ METRIC_NAMES = sorted(METRICS_FROM_COUNTS)
 #: The kernel axis of the differential grid: every engine property runs
 #: once per importable kernel, forced in-process via
 #: :class:`repro.core.kernels.use_kernel` (which also exports
-#: ``REPRO_KERNEL`` so forked shard workers select the same kernel).
+#: ``REPRO_KERNEL`` so child processes select the same kernel).
 #: On a numpy-free interpreter this is just ``["python"]`` and the
 #: numpy axis is covered by CI's differential job instead.
 KERNEL_NAMES = available_kernel_names()
@@ -103,42 +97,8 @@ _as_mapping = as_mapping
 
 
 # ---------------------------------------------------------------------------
-# Step 3 sharding is an exact partition
+# Step 3-4 engines and kernels agree
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
-@given(index=membership_indexes(), n_shards=st.integers(1, 5))
-def test_shard_plan_is_exact_partition(kernel, index, n_shards):
-    """Shard-local counters partition the columnar counter exactly.
-
-    Runs the worker function in-process (it is pure), so this property
-    gets high example counts without fork overhead: shard key spaces
-    must be disjoint, each key must live on the shard its v4 row
-    selects, and the merged counts must equal the single-process
-    columnar counts bit for bit — per kernel.
-    """
-    with use_kernel(kernel):
-        substrate = ColumnarSubstrate()
-        state = substrate.prepare(index)
-        expected = dict(ColumnarSubstrate.pair_counts(state))
-
-        payloads = build_shard_payloads(state, n_shards)
-        assert len(payloads) == n_shards
-        merged: dict[int, int] = {}
-        seen_keys: set[int] = set()
-        for payload in payloads:
-            shard, keys, counts, wall, cpu = accumulate_shard(payload)
-            assert shard == payload[0]
-            assert wall >= 0.0 and cpu >= 0.0
-            shard_keys = {int(key) for key in keys}
-            assert not (shard_keys & seen_keys), "shard key spaces overlap"
-            seen_keys |= shard_keys
-            for key in shard_keys:
-                assert (key >> 32) % n_shards == shard
-            merged.update(zip((int(k) for k in keys), (int(c) for c in counts)))
-        assert merged == expected
-        assert sum(merged.values()) == estimate_pair_rows(state)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -146,24 +106,18 @@ def test_shard_plan_is_exact_partition(kernel, index, n_shards):
     index=membership_indexes(),
     metric=st.sampled_from(METRIC_NAMES),
     mode=st.sampled_from(list(BestMatchMode)),
-    workers=st.integers(1, 3),
 )
 @settings(max_examples=10)
-def test_engines_identical_select(kernel, index, metric, mode, workers):
-    """reference, columnar, and sharded agree on the full result.
+def test_engines_identical_select(kernel, index, metric, mode):
+    """reference and columnar agree on the full result.
 
-    The sharded engine runs with a zero fallback threshold so real
-    worker processes execute even on these small inputs.  The kernel
-    parameter runs the whole property once per importable kernel —
-    {reference, columnar, sharded} x {python, numpy} bit-identity.
+    The kernel parameter runs the whole property once per importable
+    kernel — {reference, columnar} x {python, numpy} bit-identity.
     """
     with use_kernel(kernel):
         reference = get_substrate("reference").select(index, metric=metric, mode=mode)
         columnar = ColumnarSubstrate().select(index, metric=metric, mode=mode)
-        sharded = ShardedSubstrate(workers=workers, min_pair_rows=0).select(
-            index, metric=metric, mode=mode
-        )
-        assert _as_mapping(reference) == _as_mapping(columnar) == _as_mapping(sharded)
+        assert _as_mapping(reference) == _as_mapping(columnar)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
@@ -178,7 +132,7 @@ def test_scenario_grid_differential(kernel, seed, hgcdn_scale, split_hosting):
 
     Universes built from randomized :mod:`repro.synth.scenarios`
     variants exercise realistic structure (hypergiants, shared hosting,
-    ties) that the direct membership strategy cannot: all three engines
+    ties) that the direct membership strategy cannot: both engines
     must agree on the complete sibling set, under either kernel.
     """
     config = dataclasses.replace(
@@ -196,9 +150,8 @@ def test_scenario_grid_differential(kernel, seed, hgcdn_scale, split_hosting):
     with use_kernel(kernel):
         reference = get_substrate("reference").select(index)
         columnar = ColumnarSubstrate().select(index)
-        sharded = ShardedSubstrate(workers=2, min_pair_rows=0).select(index)
     assert len(reference) > 0
-    assert _as_mapping(reference) == _as_mapping(columnar) == _as_mapping(sharded)
+    assert _as_mapping(reference) == _as_mapping(columnar)
 
 
 @pytest.mark.skipif(

@@ -39,7 +39,7 @@ RESULTS_DIR = REPO / "benchmarks" / "results"
 #: reproductions under results/ are experiment outputs, not perf runs).
 PERF_RESULT_FILES = (
     "serving.txt",
-    "parallel_detect.txt",
+    "step3_kernels.txt",
     "incremental_series.txt",
     "archive_coldstart.txt",
     "serving_fleet.txt",

@@ -27,7 +27,6 @@ from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.core.domainsets import build_index
 from repro.core.kernels import available_kernel_names, use_kernel
-from repro.core.parallel import ShardedSubstrate
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 
 # The delta patch path runs on whichever kernel is active, so the
@@ -177,19 +176,6 @@ def test_incremental_equals_reference_oracle(tables):
             build_index(shim.snapshot_at(date), shim.annotator_at(date))
         )
         assert as_mapping(siblings) == as_mapping(fresh)
-
-
-@given(tables=churn_series(max_dates=3))
-@settings(max_examples=3)
-def test_incremental_equals_full_sharded(tables):
-    """Sharded engine with real worker processes and zero fallback
-    threshold: the delta retract/add path routes through the same shard
-    partition and still matches the full run bit for bit."""
-    dates, full, incremental = run_both(
-        tables, lambda: ShardedSubstrate(workers=2, min_pair_rows=0)
-    )
-    for (_, siblings_full), (_, siblings_incremental) in zip(full, incremental):
-        assert as_mapping(siblings_full) == as_mapping(siblings_incremental)
 
 
 # ---------------------------------------------------------------------------

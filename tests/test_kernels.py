@@ -322,11 +322,6 @@ def test_accumulate_rowlists_empty(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-def test_merge_disjoint_empty(kernel):
-    assert dict(KERNELS[kernel].merge_disjoint([]).items()) == {}
-
-
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_select_scored_empty_counts(kernel):
     counts = build_counts(kernel, {})
     kept_keys, kept_values, scored = KERNELS[kernel].select_scored(

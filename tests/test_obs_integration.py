@@ -1,12 +1,11 @@
 """End-to-end telemetry: pipeline spans, endpoints, fleet merge, CLI.
 
 The unit contracts live in ``test_obs_metrics.py``; this suite proves
-the wiring — detection Steps 1–4 (including the sharded engine's
-per-shard timings) record into the process registry, a serving worker
-exposes ``/v1/status`` + ``/v1/metrics``, the fleet supervisor merges
-per-worker registries over the control protocol and serves the merged
-view on its control port, and the ``repro status`` / ``detect --stats``
-CLI surfaces render it all.
+the wiring — detection Steps 1–4 record into the process registry, a
+serving worker exposes ``/v1/status`` + ``/v1/metrics``, the fleet
+supervisor merges per-worker registries over the control protocol and
+serves the merged view on its control port, and the ``repro status`` /
+``detect --stats`` CLI surfaces render it all.
 """
 
 import datetime
@@ -18,7 +17,6 @@ import pytest
 
 from repro.core.detection import detect_with_index
 from repro.core.domainsets import build_index
-from repro.core.parallel import ShardedSubstrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, split_key
@@ -128,34 +126,16 @@ def test_detect_records_pipeline_stages(fresh_registry, tiny_universe):
         assert stage in stages, f"stage {stage!r} never recorded: {stages}"
 
 
-def test_sharded_engine_records_per_shard_timings(
-    fresh_registry, tiny_universe
-):
-    index = build_index(
-        tiny_universe.snapshot_at(REFERENCE_DATE),
-        tiny_universe.annotator_at(REFERENCE_DATE),
-    )
-    result = ShardedSubstrate(workers=2, min_pair_rows=0).select(index)
-    assert len(result) > 0
-    shards = {
-        split_key(key)[1]["shard"]
-        for key in fresh_registry.snapshot()["counters"]
-        if split_key(key)[0] == "stage.calls"
-        and split_key(key)[1].get("stage") == "step3.shard"
-    }
-    assert len(shards) >= 2, f"expected per-shard rows, got {shards}"
-
-
 def test_stage_table_renders_rows(fresh_registry):
     assert stage_table(fresh_registry.snapshot()) == (
         "no stage timings recorded"
     )
     record_stage("x.y", 0.5, 0.25, items=10)
-    record_stage("step3.shard", 0.1, 0.1, items=4, shard="1")
+    record_stage("step4.select", 0.1, 0.1, items=4, kernel="numpy")
     table = stage_table(fresh_registry.snapshot())
     assert "wall_ms/call" in table
     assert "x.y" in table
-    assert "step3.shard [shard=1]" in table
+    assert "step4.select [kernel=numpy]" in table
 
 
 def test_detect_stats_cli(fresh_registry, capsys):

@@ -3,7 +3,7 @@
 Every scripted event scenario (:data:`repro.synth.events.EVENT_SCENARIOS`)
 is driven through ``detect_series`` and scored *exactly* against the
 generator's ground-truth ledger.  The floors below are the contract a
-future PR must not silently degrade — the grid runs for all three
+future PR must not silently degrade — the grid runs for both
 Step 3-4 engines under every importable kernel, and the suite is the
 blocking payload of the CI ``scenario-quality`` job (both the stock and
 ``REPRO_KERNEL=python`` legs).
@@ -25,7 +25,7 @@ from repro.analysis.quality import score_series
 from repro.core.kernels import available_kernel_names, use_kernel
 from repro.synth.events import EVENT_SCENARIOS, build_event_universe
 
-ENGINES = ("reference", "columnar", "sharded")
+ENGINES = ("reference", "columnar")
 KERNELS = available_kernel_names()
 
 #: scenario → (precision floor, recall floor, non-trap precision floor).

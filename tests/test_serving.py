@@ -569,12 +569,17 @@ class TestHttp:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{base}/v1/batch", {"nope": []})
         assert excinfo.value.code == 400
-        request = urllib.request.Request(
-            f"{base}/v1/batch", data=b"{not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 400
+        # Undecodable, nested past the decoder's recursion limit, and an
+        # integer literal past the int-digit limit (a plain ValueError).
+        for body in (b"{not json", b"[" * 100_000, b"9" * 5_000):
+            request = urllib.request.Request(
+                f"{base}/v1/batch", data=body, method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error.startswith("malformed JSON body"), error
 
     def test_batch_negative_content_length_is_400(self, http_server):
         import http.client

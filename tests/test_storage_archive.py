@@ -39,7 +39,6 @@ from test_incremental_pipeline import (
 from repro import publish
 from repro.analysis.pipeline import archive_detection, detect_series
 from repro.core.substrate import ColumnarSubstrate, get_substrate
-from repro.core.parallel import ShardedSubstrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_address
 from repro.nettypes.prefix import Prefix
@@ -210,7 +209,7 @@ class TestMappedIndexRoundTrip:
 class TestArchivedSeries:
     DATES = [REFERENCE_DATE - datetime.timedelta(days=d) for d in (3, 2, 1, 0)]
 
-    @pytest.mark.parametrize("engine_name", ("reference", "columnar", "sharded"))
+    @pytest.mark.parametrize("engine_name", ("reference", "columnar"))
     def test_series_round_trip_all_engines(
         self, tiny_universe, tmp_path, engine_name
     ):
@@ -220,7 +219,6 @@ class TestArchivedSeries:
         fresh = {
             "reference": get_substrate("reference"),
             "columnar": ColumnarSubstrate(),
-            "sharded": ShardedSubstrate(),
         }
         plain = detect_series(
             tiny_universe, self.DATES, substrate=fresh[engine_name],

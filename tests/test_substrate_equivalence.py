@@ -144,7 +144,7 @@ def test_reset_pool_invalidates_cached_state():
 
 def test_registry_contents():
     """All engines are registered; the default resolves and is shared."""
-    assert set(SUBSTRATES) == {"reference", "columnar", "sharded"}
+    assert set(SUBSTRATES) == {"reference", "columnar"}
     assert DEFAULT_SUBSTRATE in SUBSTRATES
     assert get_substrate() is get_substrate(DEFAULT_SUBSTRATE)
     with pytest.raises(KeyError):

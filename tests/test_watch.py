@@ -136,9 +136,12 @@ class TestSnapshotFileCodec:
 
     def test_rejects_garbage_and_bad_schema(self, tmp_path):
         bad = tmp_path / "2024-09-01.json"
-        bad.write_text("{not json")
-        with pytest.raises(WatchError, match="cannot read"):
-            read_snapshot_file(bad)
+        # Undecodable, nested past the decoder's recursion limit, and an
+        # integer literal past the int-digit limit (a plain ValueError).
+        for garbage in ("{not json", "[" * 100_000, "9" * 5_000):
+            bad.write_text(garbage)
+            with pytest.raises(WatchError, match="cannot read"):
+                read_snapshot_file(bad)
         bad.write_text(json.dumps({"format_version": 99, "date": "2024-09-01", "observations": []}))
         with pytest.raises(WatchError, match="version"):
             read_snapshot_file(bad)
