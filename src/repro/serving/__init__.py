@@ -13,9 +13,9 @@ can *query at interactive rates*:
 * :mod:`repro.serving.service` — :class:`SiblingQueryService`, the
   stateful façade adding batch APIs, caching, and atomic snapshot
   hot-swap for longitudinal runs.
-* :mod:`repro.serving.http` — a stdlib ``http.server`` JSON endpoint
-  (``/v1/lookup``, ``/v1/batch``, ``/v1/snapshot``) for demo-scale
-  serving behind ``python -m repro serve``.
+* :mod:`repro.serving.http` — the JSON endpoint on one asyncio loop
+  (``/v1/lookup``, ``/v1/batch``, ``/v1/snapshot``) behind
+  ``python -m repro serve``.
 * :mod:`repro.serving.fleet` — :class:`ServingFleet`, the
   multi-process scale-out tier: N ``SO_REUSEPORT`` worker processes
   mmap-attached to one ``.sparch`` archive, with supervised restarts
@@ -27,9 +27,18 @@ the HTTP surface.
 
 from repro.serving.cache import LruCache
 from repro.serving.codec import CodecError, load_index, save_index
-from repro.serving.fleet import FleetError, ServiceSource, ServingFleet
 from repro.serving.index import LookupResult, SiblingLookupIndex
 from repro.serving.service import QueryError, SiblingQueryService
+
+
+def __getattr__(name: str):
+    # The fleet brings asyncio and multiprocessing; a process that only
+    # detects (and imports serving.index) never loads them.
+    if name in ("FleetError", "ServiceSource", "ServingFleet"):
+        from repro.serving import fleet
+
+        return getattr(fleet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CodecError",

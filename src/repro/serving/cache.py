@@ -2,7 +2,7 @@
 
 Sibling lookups are heavily skewed in practice (a blocklist consumer
 resolves the same hot prefixes over and over), so the query service
-memoises rendered answers keyed by the normalized query text.  The
+memoises encoded answers keyed by the normalized query text.  The
 cache is deliberately generic — plain ``key → value`` with
 least-recently-used eviction — because the hot-swap logic in
 :mod:`repro.serving.service` handles invalidation by clearing it
@@ -28,8 +28,8 @@ class LruCache:
 
     ``maxsize=0`` disables caching entirely (every :meth:`get` misses,
     :meth:`put` is a no-op) so callers never need a separate code path.
-    All operations take an internal lock; the cache may be shared by a
-    threading HTTP server.
+    All operations take an internal lock; the cache may be shared by
+    threads (a server loop, a publisher, embedders).
 
     >>> cache = LruCache(maxsize=2)
     >>> cache.put("a", 1); cache.put("b", 2)
@@ -85,10 +85,6 @@ class LruCache:
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._data
-
     def stats(self) -> dict:
         """Hit/miss/eviction counters plus current occupancy."""
         with self._lock:
@@ -99,6 +95,3 @@ class LruCache:
                 "misses": self._misses,
                 "evictions": self._evictions,
             }
-
-    def __repr__(self) -> str:
-        return f"LruCache(size={len(self)}, maxsize={self.maxsize})"

@@ -125,17 +125,6 @@ class ServiceSource:
             service.swap(load_index(self.path))
 
 
-class _FleetHTTPServer(SiblingHTTPServer):
-    """The worker-side HTTP server: same handler, SO_REUSEPORT bind."""
-
-    allow_reuse_port = True  # honored by socketserver on 3.11+
-
-    def server_bind(self) -> None:
-        if hasattr(socket, "SO_REUSEPORT"):  # belt and braces pre-3.11
-            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
-
-
 def _serving_info(slot: int, service: SiblingQueryService) -> dict:
     """One worker's status payload (ready/swapped/status replies)."""
     index = service.index
@@ -189,7 +178,7 @@ def _worker_main(
     # fleet started.  Fresh registry, or fleet merges double-count.
     registry = reset_registry()
     service = source.build()
-    with _FleetHTTPServer((host, port), service, quiet=quiet) as server:
+    with SiblingHTTPServer((host, port), service, quiet, reuse_port=True) as server:
         server.worker_info = {"slot": slot}
         server.start()
         conn.send(("ready", _serving_info(slot, service)))
@@ -206,16 +195,9 @@ def _worker_main(
                 conn.send(("status", seq, _serving_info(slot, service)))
             elif command == "metrics":
                 service.observe_gauges()
-                conn.send(
-                    (
-                        "metrics",
-                        seq,
-                        {
-                            "info": _serving_info(slot, service),
-                            "metrics": registry.snapshot(),
-                        },
-                    )
-                )
+                payload = {"info": _serving_info(slot, service)}
+                payload["metrics"] = registry.snapshot()
+                conn.send(("metrics", seq, payload))
             elif command == "stop":
                 conn.send(("stopping", seq, _serving_info(slot, service)))
                 break
@@ -415,24 +397,12 @@ class ServingFleet:
         died mid-broadcast is skipped — its restart attaches the
         newest generation anyway, so it cannot come back stale).
         """
-        acks = []
         with self._lock:
-            pending = []
-            for worker in self._slots:
-                if worker is None:
-                    continue
-                seq = self._next_seq()
-                try:
-                    worker.conn.send(("swap", seq))
-                except (OSError, BrokenPipeError):
-                    continue
-                pending.append((worker, seq))
-            for worker, seq in pending:
-                reply = self._recv_reply(worker, "swapped", seq, timeout)
-                if reply is not None:
-                    worker.info = worker.adjusted(reply)
-                    acks.append(worker.info)
-        return acks
+            replies = self._ask_live("swap", "swapped", timeout)
+            for slot, reply in replies.items():
+                worker = self._slots[slot]
+                worker.info = worker.adjusted(reply)
+            return [self._slots[slot].info for slot in replies]
 
     def status(self, timeout: float = COMMAND_TIMEOUT) -> dict:
         """Fleet status: address, restart counts, one row per worker.
@@ -449,44 +419,20 @@ class ServingFleet:
         """
         rows = []
         with self._lock:
+            replies = self._ask_live("status", "status", timeout)
             for slot, worker in enumerate(self._slots):
-                if worker is None:
-                    rows.append(
-                        {
-                            "slot": slot,
-                            "alive": False,
-                            "restarts": self._slot_restarts[slot],
-                        }
-                    )
-                    continue
-                row = dict(worker.info)
-                row["slot"] = slot
-                row["alive"] = worker.process.is_alive()
-                if row["alive"]:
-                    seq = self._next_seq()
-                    try:
-                        worker.conn.send(("status", seq))
-                        reply = self._recv_reply(worker, "status", seq, timeout)
-                    except (OSError, BrokenPipeError):
-                        reply = None
-                    if reply is not None:
-                        worker.info = worker.adjusted(reply)
-                        row.update(worker.info, alive=True)
-                    else:
-                        row["alive"] = worker.process.is_alive()
+                row = {"slot": slot, "alive": False}
+                if worker is not None:
+                    if slot in replies:
+                        worker.info = worker.adjusted(replies[slot])
+                    alive = slot in replies or worker.process.is_alive()
+                    row = dict(worker.info, slot=slot, alive=alive)
                 row["restarts"] = self._slot_restarts[slot]
                 rows.append(row)
-            generation = max(
-                (
-                    row["generation"]
-                    for row in rows
-                    if row["alive"] and "generation" in row
-                ),
-                default=0,
-            )
-            for row in rows:
-                if row["alive"] and "generation" in row:
-                    row["lag"] = generation - row["generation"]
+            live = [row for row in rows if row["alive"] and "generation" in row]
+            generation = max((row["generation"] for row in live), default=0)
+            for row in live:
+                row["lag"] = generation - row["generation"]
             return {
                 "host": self.host,
                 "port": self.port if self._guard is not None else None,
@@ -498,9 +444,7 @@ class ServingFleet:
                 "workers": rows,
                 "restarts": self._restarts,
                 "generation": generation,
-                "swap_lag": max(
-                    (row.get("lag", 0) for row in rows), default=0
-                ),
+                "swap_lag": max((row.get("lag", 0) for row in rows), default=0),
                 "uptime_seconds": (
                     None
                     if self._started_monotonic is None
@@ -520,27 +464,13 @@ class ServingFleet:
         """
         per_worker = []
         with self._lock:
-            pending = []
-            for slot, worker in enumerate(self._slots):
-                if worker is None or not worker.process.is_alive():
-                    continue
-                seq = self._next_seq()
-                try:
-                    worker.conn.send(("metrics", seq))
-                except (OSError, BrokenPipeError):
-                    continue
-                pending.append((slot, worker, seq))
-            for slot, worker, seq in pending:
-                reply = self._recv_reply(worker, "metrics", seq, timeout)
-                if reply is not None:
-                    worker.info = worker.adjusted(reply["info"])
-                    per_worker.append(
-                        {
-                            "slot": slot,
-                            "info": worker.info,
-                            "metrics": reply["metrics"],
-                        }
-                    )
+            replies = self._ask_live("metrics", "metrics", timeout)
+            for slot, reply in replies.items():
+                worker = self._slots[slot]
+                worker.info = worker.adjusted(reply["info"])
+                per_worker.append(
+                    {"slot": slot, "info": worker.info, "metrics": reply["metrics"]}
+                )
             restarts = self._restarts
             started = self._started_monotonic
         merged = merge_snapshots(entry["metrics"] for entry in per_worker)
@@ -548,14 +478,10 @@ class ServingFleet:
         gauges["fleet.workers"] = float(self.workers)
         gauges["fleet.workers_alive"] = float(len(per_worker))
         gauges["fleet.restarts"] = float(restarts)
-        generations = [
-            entry["info"].get("generation", 0) for entry in per_worker
-        ]
+        generations = [entry["info"].get("generation", 0) for entry in per_worker]
         generation = max(generations, default=0)
         gauges["fleet.generation"] = float(generation)
-        gauges["fleet.swap_lag"] = float(
-            max((generation - g for g in generations), default=0)
-        )
+        gauges["fleet.swap_lag"] = float(generation - min(generations, default=0))
         if started is not None:
             gauges["fleet.uptime_seconds"] = time.monotonic() - started
         merged["gauges"] = dict(sorted(gauges.items()))
@@ -630,6 +556,26 @@ class ServingFleet:
         )
         worker.info = worker.adjusted(info)
         self._slots[slot] = worker
+
+    def _ask_live(self, command: str, expect: str, timeout: float) -> dict:
+        """Send *command* to every live worker; ``{slot: payload}`` of the
+        seq-echoed *expect* replies that came back.  Hold the lock."""
+        pending = []
+        for slot, worker in enumerate(self._slots):
+            if worker is None or not worker.process.is_alive():
+                continue
+            seq = self._next_seq()
+            try:
+                worker.conn.send((command, seq))
+            except (OSError, BrokenPipeError):
+                continue
+            pending.append((slot, worker, seq))
+        replies = {}
+        for slot, worker, seq in pending:
+            reply = self._recv_reply(worker, expect, seq, timeout)
+            if reply is not None:
+                replies[slot] = reply
+        return replies
 
     def _recv_reply(self, worker, expect: str, seq: int, timeout: float):
         """The reply payload for (*expect*, *seq*), or None on loss.

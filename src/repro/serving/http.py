@@ -1,109 +1,275 @@
-"""Demo-scale JSON-over-HTTP surface for the query service.
+"""JSON-over-HTTP surface for the query service, on one asyncio loop.
 
-A deliberately dependency-free endpoint on the stdlib's threading
-``http.server`` — enough to demo and load-test the compiled index from
-``curl``, not a production frontend (that is a later scaling PR; this
-module is the seam it will replace).
+Each server runs a stdlib :mod:`asyncio` loop in one daemon thread.
+:class:`HTTPProtocol` parses request heads by hand, frames every
+request on ``Content-Length`` whatever the method, answers ``Expect:
+100-continue``, keeps connections alive and sends each response with
+one ``transport.write`` on a ``TCP_NODELAY`` socket.  Broken framing
+(truncated or oversized heads, a bad ``Content-Length``, any
+``Transfer-Encoding``) gets a 4xx and a close; a connection past
+:data:`MAX_CONNECTIONS` gets a 503 with ``Retry-After: 1``.
 
-Endpoints:
+Endpoints (JSON unless noted; anything else is a 404):
 
 * ``GET /v1/lookup?ip=<address-or-prefix>`` — point longest-prefix
-  match; 200 with ``{"found": false}`` on a miss, 400 on malformed
-  queries.
-* ``POST /v1/batch`` — body ``{"queries": ["…", …]}``; answers aligned
-  with the input, malformed entries in-band per row.
-* ``GET /v1/snapshot`` — current index generation metadata plus
-  query/cache counters.
-* ``GET /v1/status`` — liveness/identity view: worker pid, uptime,
-  generation, plus the service info (fleet-wide rows when served by
-  the supervisor's control server).
-* ``GET /v1/metrics`` — Prometheus text exposition of the process
-  registry (the merged fleet registry on the control server).
+  match; ``{"found": false}`` on a miss, 400 on a malformed query.
+* ``POST /v1/batch`` — body ``{"queries": [...]}``; rows aligned with
+  the input, malformed entries in-band.
+* ``GET /v1/snapshot`` — generation metadata plus query/cache counters.
+* ``GET /v1/status`` — worker pid, uptime, generation, service info.
+* ``GET /v1/metrics`` — Prometheus text of the process registry.
 
-Both telemetry handlers snapshot the registry first and render/write
-from the plain snapshot dict — no registry or service lock is ever
-held across socket I/O, so a slow scraper can never stall lookups or
-a swap (regression-tested in ``tests/test_serving_stress.py``).
-
-Anything else is a 404; bodies are ``application/json`` except
-``/v1/metrics`` (``text/plain``).
-
-:class:`StatusHTTPServer` is the supervisor-side control-plane server:
-the SO_REUSEPORT fleet port is kernel-load-balanced, so no single
-worker can answer for the fleet — the supervisor binds a *separate*
-port and serves fleet-wide ``/v1/status`` + ``/v1/metrics`` from
-callables provided by :class:`~repro.serving.fleet.ServingFleet`.
+Lookups and batches write the service's cached answer bytes.  Telemetry
+renders from a registry snapshot, so no lock is held while a response
+is written (``tests/test_serving_stress.py``).  :class:`StatusHTTPServer`
+is the fleet supervisor's control plane on its own port (the
+SO_REUSEPORT data port is kernel-balanced, so no worker can answer for
+the fleet); its providers block on worker pipes and run in the loop's
+executor.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
 import os
+import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from http import HTTPStatus
+from urllib.parse import parse_qs
 
 from repro.obs.metrics import render_prometheus
+from repro.obs.tracing import get_registry
 from repro.serving.service import QueryError, SiblingQueryService
 
-#: Largest accepted ``POST /v1/batch`` body, a denial-of-accident guard.
+#: Largest accepted request body, a denial-of-accident guard.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Largest accepted request line plus headers.
+MAX_HEAD_BYTES = 64 * 1024
 
-class ManagedHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server with an explicit start/close lifecycle.
+#: Open connections one server holds; a new connection past it is shed.
+MAX_CONNECTIONS = 512
 
-    :meth:`start` runs ``serve_forever`` in a background thread and
-    returns ``self``; :meth:`close` stops that thread (if any), joins
-    it, and releases the listening socket.  Used as a context manager
-    the server closes on exit, so tests and embedders never leak
-    sockets or rely on daemon-thread teardown.
+JSON = b"application/json"
+TEXT = b"text/plain; version=0.0.4"
+
+_STATUS_LINES = {s: b"HTTP/1.1 %d %s\r\n" % (s, s.phrase.encode()) for s in HTTPStatus}
+
+
+def _error(message: str) -> bytes:
+    return json.dumps({"error": message}).encode()
+
+
+class HTTPError(Exception):
+    """Lost framing: ``args`` are the (status, message) to answer, then close."""
+
+
+class HTTPProtocol(asyncio.Protocol):
+    """One connection: HTTP/1.1 framing around ``server.respond``.
+
+    ``respond(method, target, body)`` returns ``(status, body,
+    content_type)`` or a future of one; while a future is pending the
+    connection stops reading, so pipelined requests are answered in
+    order.
     """
 
-    daemon_threads = True
+    def __init__(self, server: "ManagedHTTPServer"):
+        self.server = server
+        self.transport = None
+        self.buffer = bytearray()
+        self.continued = False  # "100 Continue" sent for the pending request
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if len(self.server.connections) >= MAX_CONNECTIONS:
+            self.server.shed.inc()
+            self._send(503, _error("too many open connections"), close=True,
+                       extra=b"Retry-After: 1\r\n")
+            return
+        transport.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self.server.connections.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._drain()
+
+    def eof_received(self) -> bool:
+        """The client stopped sending: reject any partial request."""
+        if self.buffer and not self.transport.is_closing():
+            part = "body" if b"\r\n\r\n" in self.buffer else "head"
+            self._send(400, _error(f"truncated request {part}"), close=True)
+        return False
+
+    def _drain(self) -> None:
+        """Answer every complete request in the buffer, in order."""
+        while self.buffer and self.transport.is_reading():
+            try:
+                request = self._next_request()
+            except HTTPError as exc:
+                status, message = exc.args
+                self._send(status, _error(message), close=True)
+                return
+            if request is None:
+                return
+            method, target, body, close = request
+            reply = self.server.respond(method, target, body)
+            if isinstance(reply, tuple):
+                self._send(*reply, close=close)
+            else:
+                self.transport.pause_reading()
+                reply.add_done_callback(lambda done: self._resume(done, close))
+
+    def _resume(self, done, close: bool) -> None:
+        if not self.transport.is_closing():
+            self._send(*done.result(), close=close)
+            self.transport.resume_reading()
+            self._drain()
+
+    def _next_request(self):
+        """Pop ``(method, target, body, close)`` off the buffer, or
+        return ``None`` until the whole request has arrived."""
+        buffer = self.buffer
+        end = buffer.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES + 4)
+        if end < 0:
+            if len(buffer) >= MAX_HEAD_BYTES + 4:
+                raise HTTPError(431, "request head too large")
+            return None
+        request_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
+        parts = request_line.split(" ")
+        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+            raise HTTPError(400, f"malformed request line {request_line[:80]!r}")
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon or not name or name != name.strip():
+                raise HTTPError(400, f"malformed header line {line[:80]!r}")
+            name, value = name.lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise HTTPError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            raise HTTPError(411, "Transfer-Encoding unsupported; send Content-Length")
+        length = headers.get("content-length", "" if method == "POST" else "0")
+        if not length:
+            raise HTTPError(400, "Content-Length required")
+        if not (length.isascii() and length.isdigit()):
+            raise HTTPError(400, f"bad Content-Length {length[:20]!r}")
+        if len(length) > 9 or int(length) > MAX_BODY_BYTES:
+            raise HTTPError(400, f"body too large (> {MAX_BODY_BYTES} bytes)")
+        start, stop = end + 4, end + 4 + int(length)
+        if len(buffer) < stop:
+            if (not self.continued and version != "HTTP/1.0"
+                    and headers.get("expect", "").lower() == "100-continue"):
+                self.continued = True
+                self.transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return None
+        body = bytes(buffer[start:stop])
+        del buffer[:stop]
+        self.continued = False
+        connection = headers.get("connection", "").lower()
+        return method, target, body, version == "HTTP/1.0" or connection == "close"
+
+    def _send(self, status: int, body: bytes, content_type: bytes = JSON,
+              close: bool = False, extra: bytes = b"") -> None:
+        """Write one whole response, then close if asked to."""
+        self.transport.write(b"".join((
+            _STATUS_LINES[status],
+            b"Content-Type: %s\r\nContent-Length: %d\r\n" % (content_type, len(body)),
+            extra,
+            b"Connection: close\r\n\r\n" if close else b"\r\n",
+            body,
+        )))
+        if close:
+            self.transport.close()
+        if status >= 400 and not self.server.quiet:
+            peer = self.transport.get_extra_info("peername") or ("-",)
+            print(f"{peer[0]} {status} {body[:200].decode()}", file=sys.stderr)
+
+
+class ManagedHTTPServer:
+    """A bound listening socket served by one asyncio loop thread.
+
+    The constructor binds (``port=0`` picks a free port;
+    ``server_address`` tells which).  :meth:`start` runs the loop in a
+    daemon thread and returns ``self``; :meth:`close` stops the loop,
+    joins the thread and releases the socket.  Used as a context
+    manager the server closes on exit.  Subclasses implement
+    ``respond(method, target, body)`` as :class:`HTTPProtocol` calls it.
+    """
 
     #: Thread-name prefix for the serve thread.
     thread_prefix = "managed-http"
 
-    _serve_thread: threading.Thread | None = None
+    def __init__(self, address, quiet: bool = True, reuse_port: bool = False,
+                 registry=None):
+        #: ``False`` logs every 4xx/5xx answer to stderr.
+        self.quiet = quiet
+        self.socket = socket.create_server(address, reuse_port=reuse_port)
+        self.server_address = self.socket.getsockname()
+        #: Transports of the open (not shed) connections.
+        self.connections: set = set()
+        self.shed = (registry or get_registry()).counter("serve.shed_connections")
+        self._stopped: asyncio.Future | None = None
+        self._serve_thread: threading.Thread | None = None
 
     def start(self) -> "ManagedHTTPServer":
         """Serve in a background thread; returns ``self`` for chaining."""
         if self._serve_thread is not None and self._serve_thread.is_alive():
             raise RuntimeError("server already started")
+        loop = asyncio.new_event_loop()
+        self._stopped = loop.create_future()
         # Daemon: an embedder that exits without close() must not hang
         # the interpreter on a live accept loop.
+        name = f"{self.thread_prefix}-{self.server_address[1]}"
         self._serve_thread = threading.Thread(
-            target=self.serve_forever,
-            name=f"{self.thread_prefix}-{self.server_address[1]}",
-            daemon=True,
+            target=self._run, args=(loop,), name=name, daemon=True
         )
         self._serve_thread.start()
         return self
 
+    def _run(self, loop: asyncio.AbstractEventLoop) -> None:
+        try:
+            server = loop.run_until_complete(
+                loop.create_server(lambda: HTTPProtocol(self), sock=self.socket))
+            loop.run_until_complete(self._stopped)
+            server.close()
+            for transport in list(self.connections):
+                transport.abort()
+            loop.run_until_complete(asyncio.sleep(0))  # deliver connection_lost
+        finally:
+            loop.close()
+
     def close(self) -> None:
         """Stop serving (if started), join the thread, release the socket.
 
-        Idempotent; safe on a server that was bound but never started
-        (``shutdown`` is only called when the serve thread is live, so
-        close never blocks on the never-set shutdown event).  A serve
-        thread that fails to stop within the join timeout raises
-        :class:`RuntimeError` — the socket is still released, but the
-        wedged thread must not be silently leaked.
+        Idempotent; safe on a server that was bound but never started.
+        A serve thread that fails to stop within the join timeout
+        raises :class:`RuntimeError` rather than being silently leaked;
+        its loop releases the socket once it does stop.
         """
-        thread = self._serve_thread
+        thread, self._serve_thread = self._serve_thread, None
         if thread is not None and thread.is_alive():
-            self.shutdown()
+            stopped = self._stopped
+            with contextlib.suppress(RuntimeError):  # its loop already closed
+                stopped.get_loop().call_soon_threadsafe(stopped.set_result, None)
             thread.join(timeout=10)
             if thread.is_alive():
-                self._serve_thread = None
-                self.server_close()
                 raise RuntimeError(
                     f"serve thread {thread.name!r} did not stop within 10s"
                 )
-        self._serve_thread = None
-        self.server_close()
+        self.socket.close()
+
+    def __enter__(self):
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
@@ -114,9 +280,9 @@ class SiblingHTTPServer(ManagedHTTPServer):
 
     thread_prefix = "sibling-http"
 
-    def __init__(self, address, service: SiblingQueryService, quiet: bool = True):
+    def __init__(self, address, service: SiblingQueryService, quiet: bool = True,
+                 reuse_port: bool = False):
         self.service = service
-        self.quiet = quiet
         self.started_at = time.monotonic()
         #: Extra identity keys (e.g. the fleet worker slot) merged into
         #: this server's ``/v1/status`` worker view.
@@ -125,151 +291,66 @@ class SiblingHTTPServer(ManagedHTTPServer):
         #: request and its JSON-able result merged in as a top-level key
         #: (the seam ``repro watch`` uses to surface its loop state).
         self.status_extras: dict = {}
-        self._serve_thread: threading.Thread | None = None
-        super().__init__(address, SiblingRequestHandler)
+        super().__init__(address, quiet, reuse_port, service.registry)
 
-
-class SiblingRequestHandler(BaseHTTPRequestHandler):
-    """Routes the ``/v1`` endpoints onto the service."""
-
-    server: SiblingHTTPServer
-
-    #: HTTP/1.1 so keep-alive clients reuse their connection instead of
-    #: paying a reconnect per query (every response carries an explicit
-    #: Content-Length, which persistent connections require).
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        """Dispatch ``/v1/lookup``, ``/v1/snapshot``, ``/v1/status``,
-        and ``/v1/metrics``."""
-        url = urlparse(self.path)
-        if url.path == "/v1/lookup":
-            query = parse_qs(url.query).get("ip", [])
-            if len(query) != 1:
-                self._reply(400, {"error": "exactly one ip= parameter required"})
-                return
-            self._answer(lambda: self.server.service.lookup(query[0]))
-        elif url.path == "/v1/snapshot":
-            self._answer(self.server.service.snapshot_info)
-        elif url.path == "/v1/status":
-            self._answer(self._status_payload)
-        elif url.path == "/v1/metrics":
-            service = self.server.service
-            service.observe_gauges()
-            # Snapshot under per-metric locks, render and write from
-            # the plain dict — nothing shared is held across the socket.
-            text = render_prometheus(service.registry.snapshot())
-            self._reply_text(200, text)
-        else:
-            self._reply(404, {"error": f"unknown path {url.path!r}"})
+    def respond(self, method: str, target: str, body: bytes) -> tuple:
+        """Route one request; QueryError → 400, unknown routes → 404."""
+        path, _, query = target.partition("?")
+        service = self.service
+        try:
+            if method == "GET" and path == "/v1/lookup":
+                ips = parse_qs(query).get("ip", [])
+                if len(ips) != 1:
+                    raise QueryError("exactly one ip= parameter required")
+                return 200, service.lookup_json(ips[0]), JSON
+            if method == "POST" and path == "/v1/batch":
+                return 200, service.batch_json(_batch_queries(body)), JSON
+            if method == "GET" and path == "/v1/snapshot":
+                return 200, json.dumps(service.snapshot_info()).encode(), JSON
+            if method == "GET" and path == "/v1/status":
+                return 200, json.dumps(self._status_payload()).encode(), JSON
+            if method == "GET" and path == "/v1/metrics":
+                service.observe_gauges()
+                text = render_prometheus(service.registry.snapshot())
+                return 200, text.encode(), TEXT
+        except QueryError as exc:
+            return 400, _error(str(exc)), JSON
+        return 404, _error(f"unknown path {path!r}"), JSON
 
     def _status_payload(self) -> dict:
         """One worker's ``/v1/status`` view (``fleet`` is the
         supervisor's business — ``None`` here)."""
-        service = self.server.service
-        worker = {
-            "pid": os.getpid(),
-            "uptime_seconds": time.monotonic() - self.server.started_at,
-            "generation": service.generation,
-        }
-        worker.update(self.server.worker_info)
-        payload = {
-            "fleet": None,
-            "worker": worker,
-            "service": service.status(),
-        }
-        for name, provider in self.server.status_extras.items():
+        service = self.service
+        uptime = time.monotonic() - self.started_at
+        worker = {"pid": os.getpid(), "uptime_seconds": uptime,
+                  "generation": service.generation, **self.worker_info}
+        payload = {"fleet": None, "worker": worker, "service": service.status()}
+        for name, provider in self.status_extras.items():
             payload[name] = provider()
         return payload
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        """Dispatch ``/v1/batch``.
 
-        Error replies sent *before* the request body has been read
-        close the connection — leftover body bytes on a persistent
-        (HTTP/1.1) connection would be parsed as the next request line.
-        """
-        if urlparse(self.path).path != "/v1/batch":
-            self.close_connection = True
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self.close_connection = True
-            self._reply(400, {"error": "Content-Length required"})
-            return
-        if length < 0:
-            self.close_connection = True
-            self._reply(400, {"error": "negative Content-Length"})
-            return
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            self._reply(400, {"error": f"body too large (> {MAX_BODY_BYTES} bytes)"})
-            return
-        body = self.rfile.read(length)
-        if len(body) < length:
-            # Client died mid-body: the connection's framing is gone, so
-            # any reply must not be followed by another request on it.
-            self.close_connection = True
-            self._reply(400, {"error": "truncated request body"})
-            return
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers JSONDecodeError, bad UTF-8 and integer
-            # literals over the int-digit limit; RecursionError, bodies
-            # nested deeper than the decoder's stack.
-            self._reply(400, {"error": f"malformed JSON body: {exc}"})
-            return
-        queries = payload.get("queries") if isinstance(payload, dict) else None
-        if not isinstance(queries, list):
-            self._reply(400, {"error": 'body must be {"queries": [...]}'})
-            return
-        self._answer(
-            lambda: {"results": self.server.service.batch(queries)}
-        )
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _answer(self, produce) -> None:
-        """Run *produce*, mapping QueryError → 400 and success → 200."""
-        try:
-            body = produce()
-        except QueryError as exc:
-            self._reply(400, {"error": str(exc)})
-            return
-        self._reply(200, body)
-
-    def _reply(self, status: int, body: dict) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self._send(status, "application/json", data)
-
-    def _reply_text(self, status: int, text: str) -> None:
-        self._send(status, "text/plain; version=0.0.4", text.encode("utf-8"))
-
-    def _send(self, status: int, content_type: str, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Respect the server's ``quiet`` flag instead of spamming stderr."""
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+def _batch_queries(body: bytes) -> list:
+    """The ``queries`` list of a ``/v1/batch`` body."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bad UTF-8 and integer
+        # literals over the int-digit limit; RecursionError, bodies
+        # nested deeper than the decoder's stack.
+        raise QueryError(f"malformed JSON body: {exc}") from None
+    queries = payload.get("queries") if isinstance(payload, dict) else None
+    if not isinstance(queries, list):
+        raise QueryError('body must be {"queries": [...]}')
+    return queries
 
 
 class StatusHTTPServer(ManagedHTTPServer):
     """Control-plane server: fleet-wide ``/v1/status`` + ``/v1/metrics``.
 
-    *status_provider* returns the JSON-able status dict;
-    *metrics_provider* returns already-rendered Prometheus text.  Both
-    are called per request — the fleet supervisor's providers do live
-    seq-echoed round-trips to every worker, so a scrape here reflects
-    the fleet *now*, not the monitor's last poll.
+    *status_provider* returns the JSON-able status dict,
+    *metrics_provider* rendered Prometheus text.  Both run per request,
+    so a scrape reflects the fleet now, not the monitor's last poll.
     """
 
     thread_prefix = "status-http"
@@ -277,58 +358,26 @@ class StatusHTTPServer(ManagedHTTPServer):
     def __init__(self, address, status_provider, metrics_provider, quiet: bool = True):
         self.status_provider = status_provider
         self.metrics_provider = metrics_provider
-        self.quiet = quiet
-        self._serve_thread: threading.Thread | None = None
-        super().__init__(address, StatusRequestHandler)
+        super().__init__(address, quiet)
 
+    def respond(self, method: str, target: str, body: bytes):
+        """Run the provider of a known path in the loop's executor."""
+        path = target.partition("?")[0]
+        if method != "GET" or path not in ("/v1/status", "/v1/metrics"):
+            return 404, _error(f"unknown path {path!r}"), JSON
+        return asyncio.get_running_loop().run_in_executor(None, self._provide, path)
 
-class StatusRequestHandler(BaseHTTPRequestHandler):
-    """Two read-only control endpoints; anything else is a 404."""
-
-    server: StatusHTTPServer
-
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        """Serve ``/v1/status`` (JSON) and ``/v1/metrics`` (text)."""
-        path = urlparse(self.path).path
+    def _provide(self, path: str) -> tuple:
         try:
             if path == "/v1/status":
-                data = json.dumps(self.server.status_provider()).encode("utf-8")
-                content_type = "application/json"
-            elif path == "/v1/metrics":
-                data = self.server.metrics_provider().encode("utf-8")
-                content_type = "text/plain; version=0.0.4"
-            else:
-                data = json.dumps({"error": f"unknown path {path!r}"}).encode(
-                    "utf-8"
-                )
-                self._send(404, "application/json", data)
-                return
+                return 200, json.dumps(self.status_provider()).encode(), JSON
+            return 200, self.metrics_provider().encode(), TEXT
         except Exception as exc:  # supervisor races (stopping fleet, dead pipe)
-            data = json.dumps({"error": str(exc)}).encode("utf-8")
-            self._send(503, "application/json", data)
-            return
-        self._send(200, content_type, data)
-
-    def _send(self, status: int, content_type: str, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+            return 503, _error(str(exc)), JSON
 
 
-def make_server(
-    service: SiblingQueryService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    quiet: bool = True,
-) -> SiblingHTTPServer:
+def make_server(service: SiblingQueryService, host: str = "127.0.0.1",
+                port: int = 8080, quiet: bool = True) -> SiblingHTTPServer:
     """Bind (but do not start) the HTTP server; ``port=0`` picks a free
     ephemeral port (``server.server_address`` tells which)."""
     return SiblingHTTPServer((host, port), service, quiet=quiet)
@@ -340,6 +389,6 @@ def serve_forever(service: SiblingQueryService, host: str, port: int) -> None:
         bound_host, bound_port = server.server_address[:2]
         print(f"serving sibling lookups on http://{bound_host}:{bound_port}/v1/")
         try:
-            server.serve_forever()
+            server.start()._serve_thread.join()
         except KeyboardInterrupt:
             print("\nshutting down")

@@ -2,8 +2,8 @@
 
 :class:`SiblingLookupIndex` is immutable by design; this module owns
 the *mutable* part of serving.  A :class:`SiblingQueryService` holds a
-reference to the current index generation, renders JSON-able answers,
-memoises them in an :class:`~repro.serving.cache.LruCache`, and lets a
+reference to the current index generation, memoises each answer's
+encoded JSON in an :class:`~repro.serving.cache.LruCache`, and lets a
 publisher :meth:`~SiblingQueryService.swap` in a freshly compiled
 snapshot atomically — in-flight queries finish against the generation
 they started on (they hold a plain object reference), new queries see
@@ -27,6 +27,7 @@ This is the seam the longitudinal pipeline publishes into
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from typing import Iterable, Sequence
@@ -185,13 +186,15 @@ class SiblingQueryService:
     # -- queries -------------------------------------------------------------
 
     def lookup(self, query: str) -> dict:
-        """Answer one point query as a JSON-able dict.
+        """Answer one point query as a fresh dict (:meth:`lookup_json`,
+        decoded)."""
+        return json.loads(self.lookup_json(query))
 
-        The returned dict is a fresh top-level copy (safe to add or
-        rebind keys); the nested per-pair rows are shared with the
-        cache and must be treated as read-only.  Raises
-        :class:`QueryError` for malformed query text and when no index
-        has been published yet.
+    def lookup_json(self, query: str) -> bytes:
+        """Answer one point query as its encoded JSON object.
+
+        Raises :class:`QueryError` for malformed query text and when no
+        index has been published yet.
         """
         start = time.perf_counter()
         with self._lock:
@@ -209,8 +212,9 @@ class SiblingQueryService:
 
     def _answer_on(
         self, index: SiblingLookupIndex | None, generation: int, query: str
-    ) -> dict:
-        """Answer *query* against one pinned (index, generation) pair."""
+    ) -> bytes:
+        """Answer *query* against one pinned (index, generation) pair;
+        a cache hit returns the stored bytes without re-encoding."""
         if index is None:
             raise QueryError("no index published yet")
         text = query.strip()
@@ -221,26 +225,25 @@ class SiblingQueryService:
         cached = self._cache.get(key)
         if cached is not None:
             self._m_cache_hits.inc()
-            return dict(cached)
+            return cached
         self._m_cache_misses.inc()
         try:
             result = index.lookup(text)
         except PrefixError as exc:
             raise QueryError(str(exc)) from exc
-        answer = (
-            {"query": text, "found": False}
-            if result is None
-            else result.as_dict()
-        )
-        # "pairs" is a tuple so a caller cannot grow the cached rows.
-        if "pairs" in answer:
-            answer["pairs"] = tuple(answer["pairs"])
+        answer = {"query": text, "found": False} if result is None else result.as_dict()
         answer["snapshot"] = index.snapshot.isoformat()
-        self._cache.put(key, answer)
-        return dict(answer)
+        data = json.dumps(answer).encode()
+        self._cache.put(key, data)
+        return data
 
     def batch(self, queries: "Iterable[str] | Sequence[str]") -> list[dict]:
-        """Answer many point queries; aligned with the input order.
+        """Answer many point queries; :meth:`batch_json`'s rows, decoded."""
+        return json.loads(self.batch_json(queries))["results"]
+
+    def batch_json(self, queries: "Iterable[str] | Sequence[str]") -> bytes:
+        """Answer many point queries as ``{"results": [...]}`` bytes,
+        aligned with the input order.
 
         Unlike :meth:`lookup`, malformed entries produce an in-band
         ``{"found": false, "error": ...}`` row so one bad line cannot
@@ -248,7 +251,8 @@ class SiblingQueryService:
         generation current at entry — a concurrent :meth:`swap` never
         mixes two snapshots within one response.  Raises
         :class:`QueryError` only for whole-request problems (no index,
-        non-string entries, oversize batch).
+        non-string entries, oversize batch).  The bytes equal
+        ``json.dumps({"results": rows}).encode()``.
         """
         items = list(queries)
         if len(items) > MAX_BATCH:
@@ -262,17 +266,16 @@ class SiblingQueryService:
         self._m_batch_size.observe(len(items))
         if index is None:
             raise QueryError("no index published yet")
-        results = []
+        parts = []
         for query in items:
             if not isinstance(query, str):
                 raise QueryError(f"batch entries must be strings, got {query!r}")
             try:
-                results.append(self._answer_on(index, generation, query))
+                parts.append(self._answer_on(index, generation, query))
             except QueryError as exc:
-                results.append(
-                    {"query": query.strip(), "found": False, "error": str(exc)}
-                )
-        return results
+                row = {"query": query.strip(), "found": False, "error": str(exc)}
+                parts.append(json.dumps(row).encode())
+        return b'{"results": [' + b", ".join(parts) + b"]}"
 
     # -- introspection -------------------------------------------------------
 

@@ -513,7 +513,7 @@ class TestServeSeries:
 
 @pytest.fixture(scope="module")
 def http_server():
-    """A live threading HTTP server over a small fixed index."""
+    """A live HTTP server over a small fixed index."""
     _, pairs = random_scenario(77, n_pairs=30)
     index = SiblingLookupIndex.from_pairs(pairs, SNAPSHOT)
     service = SiblingQueryService(index)
