@@ -148,7 +148,7 @@ def _flush_results() -> None:
 def test_fleet_load(mix, workers, fleet_archive):
     """Saturation + paced legs against a live fleet; results recorded."""
     path, targets = fleet_archive
-    with ServingFleet(ServiceSource.archive(path), workers=workers) as fleet:
+    with ServingFleet(ServiceSource(path), workers=workers) as fleet:
         fleet.start()
         saturation = run_load(
             fleet.url,

@@ -3,8 +3,8 @@
 Measures point and batch query throughput of the compiled
 :class:`SiblingLookupIndex` against :func:`scan_lookup` — the O(pairs)
 per-query brute force the CLI ``lookup`` effectively was before the
-serving subsystem — at three universe scales, plus the one-off compile
-and binary save/load costs.  Results land in ``results/serving.txt``.
+serving subsystem — at three universe scales, plus the one-off compile,
+archive encode and mmap attach costs.  Results land in ``results/serving.txt``.
 
 Timing is done with ``time.perf_counter`` loops rather than
 pytest-benchmark rounds because each test reports a *ratio* between
@@ -25,8 +25,9 @@ import pytest
 from repro.analysis.pipeline import detect_at
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_address
-from repro.serving.codec import dump_bytes, load_bytes
 from repro.serving.index import SiblingLookupIndex, scan_lookup
+from repro.storage.archive import ArchiveWriter
+from repro.storage.index_io import KIND, index_segments, load_mapped_index
 
 from benchmarks.common import RESULTS_DIR, get_universe
 
@@ -151,8 +152,8 @@ def test_serving_lookup_throughput(scale):
         )
 
 
-def test_serving_compile_and_codec_cost():
-    """One-off costs: compile from a SiblingSet, binary dump and load."""
+def test_serving_compile_and_archive_cost(tmp_path):
+    """One-off costs: compile from a SiblingSet, archive encode and attach."""
     siblings, _ = detect_at(get_universe("medium"), REFERENCE_DATE)
 
     start = time.perf_counter()
@@ -160,18 +161,26 @@ def test_serving_compile_and_codec_cost():
     compile_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    blob = dump_bytes(index)
-    dump_elapsed = time.perf_counter() - start
+    segments, meta = index_segments(index)
+    encode_elapsed = time.perf_counter() - start
+
+    path = tmp_path / "medium.sparch"
+    with ArchiveWriter.open(path) as writer:
+        writer.append_generation(
+            index.snapshot.isoformat(), segments, {KIND: meta}
+        )
 
     start = time.perf_counter()
-    loaded = load_bytes(blob)
-    load_elapsed = time.perf_counter() - start
-    assert loaded.pairs == index.pairs
+    mapped = load_mapped_index(path)
+    attach_elapsed = time.perf_counter() - start
+    assert tuple(mapped.pairs) == index.pairs
+    mapped.close()
 
     _LINES.append("")
     _LINES.append(
         f"medium one-off: compile {compile_elapsed * 1e3:.1f}ms, "
-        f"dump {dump_elapsed * 1e3:.1f}ms ({len(blob):,} bytes), "
-        f"load {load_elapsed * 1e3:.1f}ms ({len(index)} pairs)"
+        f"encode {encode_elapsed * 1e3:.1f}ms "
+        f"({path.stat().st_size:,} archive bytes), "
+        f"attach {attach_elapsed * 1e3:.2f}ms ({len(index)} pairs)"
     )
     _flush_results()

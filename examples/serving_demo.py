@@ -6,26 +6,24 @@ consumers (blocklist/geolocation transfer at interactive rates):
 
 1. detect sibling prefixes on two snapshot dates,
 2. compile each snapshot into an immutable ``SiblingLookupIndex``,
-3. save/load the binary index artifact (what ``detect --emit-index``
-   emits and ``repro serve`` loads),
-4. stand up a ``SiblingQueryService``, answer point + batch queries,
-5. hot-swap to the newer snapshot and show the answers roll forward.
+3. append both to a ``.sparch`` archive (what ``detect --archive``
+   writes and ``repro serve --archive`` attaches),
+4. stand up a ``SiblingQueryService`` on the older generation, answer
+   point + batch queries,
+5. hot-swap to the newer generation and show the answers roll forward.
 
 Run:  python examples/serving_demo.py [scenario]
 """
 
 import datetime
+import pathlib
 import sys
 import tempfile
 
 from repro.analysis.pipeline import detect_at
 from repro.dates import REFERENCE_DATE
-from repro.serving import (
-    SiblingLookupIndex,
-    SiblingQueryService,
-    load_index,
-    save_index,
-)
+from repro.serving import SiblingLookupIndex, SiblingQueryService
+from repro.storage.index_io import append_index
 from repro.synth import build_universe
 
 
@@ -47,40 +45,42 @@ def main() -> None:
     print(f"  {old_index}")
     print(f"  {new_index}")
 
-    with tempfile.NamedTemporaryFile(suffix=".sibidx") as artifact:
-        size = save_index(new_index, artifact.name)
-        reloaded = load_index(artifact.name)
-        print(f"\nBinary artifact: {size} bytes; reload matches: "
-              f"{reloaded.pairs == new_index.pairs}")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = pathlib.Path(tmp) / "siblings.sparch"
+        append_index(archive, old_index)
+        print(f"\nArchived {old_index.snapshot} into {archive.name}: "
+              f"{archive.stat().st_size} bytes")
 
-    print("\nServing the older snapshot ...")
-    service = SiblingQueryService(old_index)
-    probe = next(iter(new_index)).v4_prefix
-    inside = probe.network_text  # the network address, inside the prefix
-    answer = service.lookup(inside)
-    print(f"  lookup({inside}) -> found={answer['found']} "
-          f"snapshot={answer['snapshot']}")
+        print("\nServing the older snapshot from the archive ...")
+        service = SiblingQueryService.from_archive(archive)
+        probe = next(iter(new_index)).v4_prefix
+        inside = probe.network_text  # the network address, inside the prefix
+        answer = service.lookup(inside)
+        print(f"  lookup({inside}) -> found={answer['found']} "
+              f"snapshot={answer['snapshot']}")
 
-    batch = service.batch([inside, "203.0.113.99", "not-an-ip"])
-    print(f"  batch of 3 -> "
-          f"{[row['found'] for row in batch]} (malformed entry in-band)")
+        batch = service.batch([inside, "203.0.113.99", "not-an-ip"])
+        print(f"  batch of 3 -> "
+              f"{[row['found'] for row in batch]} (malformed entry in-band)")
 
-    print("\nHot-swapping to the newer snapshot ...")
-    service.swap(new_index)
-    answer = service.lookup(inside)
-    pairs = answer.get("pairs", [])
-    print(f"  lookup({inside}) -> found={answer['found']} "
-          f"snapshot={answer['snapshot']} pairs={len(pairs)}")
-    if pairs:
-        top = pairs[0]
-        print(f"    best: {top['v4_prefix']} <-> {top['v6_prefix']} "
-              f"J={top['jaccard']:.3f}")
+        print("\nAppending the newer snapshot and hot-swapping to it ...")
+        append_index(archive, new_index)
+        service.swap_from_archive(archive).close()
+        answer = service.lookup(inside)
+        pairs = answer.get("pairs", [])
+        print(f"  lookup({inside}) -> found={answer['found']} "
+              f"snapshot={answer['snapshot']} pairs={len(pairs)}")
+        if pairs:
+            top = pairs[0]
+            print(f"    best: {top['v4_prefix']} <-> {top['v6_prefix']} "
+                  f"J={top['jaccard']:.3f}")
 
-    info = service.snapshot_info()
+        info = service.snapshot_info()
+        service.index.close()
     print(f"\nService stats: generation={info['generation']} "
           f"queries={info['queries']} cache_hits={info['cache']['hits']}")
     print("\n(The same service is reachable over HTTP: "
-          "python -m repro serve <index> --port 8080)")
+          "python -m repro serve --archive <archive.sparch> --port 8080)")
 
 
 if __name__ == "__main__":

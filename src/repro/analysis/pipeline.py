@@ -463,7 +463,7 @@ def serve_series_fleet(
         archive=archive,
     )
     fleet = ServingFleet(
-        ServiceSource.archive(archive),
+        ServiceSource(archive),
         workers=serve_workers,
         host=host,
         port=port,

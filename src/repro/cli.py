@@ -4,8 +4,8 @@ Subcommands:
 
 * ``detect``     — run the detection pipeline on a scenario and print or
   export the sibling prefix list (CSV/JSONL, optionally tuned), and/or
-  compile the binary lookup index (``--emit-index``) or append to a
-  ``.sparch`` snapshot archive (``--archive``).
+  append it with its compiled lookup index to a ``.sparch`` snapshot
+  archive (``--archive``).
 * ``detect-series`` — run detection over a longitudinal date series
   (one shared substrate/intern pool across all snapshots); with
   ``--archive`` the series resumes from / appends to an archive.
@@ -17,10 +17,10 @@ Subcommands:
   detection exactly against the generator's ground-truth ledger
   (``--score``); ``detect-series --events NAME --score`` does the same
   over the plain series command.
-* ``lookup``     — longest-prefix-match query against an export (binary
-  index files are memory-loaded; CSV exports are streamed).
-* ``serve``      — stand up the JSON HTTP lookup endpoint over an
-  index/CSV file, or ``--archive`` for a zero-copy ``mmap`` attach;
+* ``lookup``     — longest-prefix-match query against a ``.sparch``
+  archive (``mmap`` attach) or a CSV export (streamed).
+* ``serve``      — stand up the JSON HTTP lookup endpoint over a CSV
+  export, or ``--archive`` for a zero-copy ``mmap`` attach;
   ``--workers N`` scales it to a multi-process SO_REUSEPORT fleet
   (``--status-port`` places the fleet's control-plane endpoints).
 * ``status``     — fetch and render a serving endpoint's ``/v1/status``
@@ -100,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--output", "-o", help="write to this file instead of stdout"
-    )
-    detect.add_argument(
-        "--emit-index",
-        metavar="PATH",
-        help="also compile the result into a binary lookup index at PATH "
-        "(servable via `repro serve`)",
     )
     detect.add_argument(
         "--archive",
@@ -240,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lookup = sub.add_parser("lookup", help="query an exported list (LPM)")
     lookup.add_argument(
         "list_file",
-        help="CSV export from `detect --format csv` or a binary index "
-        "from `detect --emit-index`",
+        help="CSV export from `detect --format csv` or a .sparch archive "
+        "from `detect --archive`",
     )
     lookup.add_argument("query", help="IPv4/IPv6 prefix or address")
 
@@ -249,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "list_file",
         nargs="?",
-        help="binary index or CSV export to serve (omit with --archive)",
+        help="CSV export to serve (omit with --archive)",
     )
     serve.add_argument(
         "--archive",
@@ -265,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="serving worker processes; N > 1 runs the SO_REUSEPORT "
-        "fleet (binary index or --archive sources only), 1 serves "
+        "fleet (--archive sources only), 1 serves "
         "in-process",
     )
     serve.add_argument(
@@ -412,12 +406,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     published = publish.enrich_pairs(
         universe, siblings, REFERENCE_DATE, repository
     )
-    if args.emit_index:
-        count = publish.write_index(published, args.emit_index, REFERENCE_DATE)
-        print(
-            f"compiled {count} pairs into lookup index {args.emit_index}",
-            file=sys.stderr,
-        )
     if args.archive:
         from repro.analysis.pipeline import archive_detection
 
@@ -670,13 +658,25 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_archive(path: str) -> bool:
+    """Does *path* start with the ``.sparch`` magic?  (False if unreadable.)"""
+    from repro.storage.format import MAGIC
+
+    try:
+        with open(path, "rb") as stream:
+            return stream.read(len(MAGIC)) == MAGIC
+    except OSError:
+        return False
+
+
 def _cmd_lookup(args: argparse.Namespace) -> int:
     import csv
 
     from repro import publish
     from repro.nettypes.prefix import PrefixError
-    from repro.serving.codec import CodecError, is_index_file, load_index
     from repro.serving.index import parse_query
+    from repro.storage.format import ArchiveFormatError
+    from repro.storage.index_io import load_mapped_index
 
     try:
         query = parse_query(args.query)
@@ -687,9 +687,13 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
     hits = []
     matched = None
     try:
-        if is_index_file(args.list_file):
-            # Binary index: memory-load once, answer by binary search.
-            result = load_index(args.list_file).lookup(query)
+        if _is_archive(args.list_file):
+            # Archive: mmap-attach the newest index, answer by bisection.
+            index = load_mapped_index(args.list_file)
+            try:
+                result = index.lookup(query)
+            finally:
+                index.close()
             if result is not None:
                 matched, hits = result.matched, list(result.pairs)
         else:
@@ -709,7 +713,7 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
         return 2
     except (
         publish.PublishFormatError,
-        CodecError,
+        ArchiveFormatError,
         UnicodeDecodeError,
         csv.Error,
     ) as exc:
@@ -731,7 +735,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import csv
 
     from repro import publish
-    from repro.serving.codec import CodecError, is_index_file
     from repro.serving.http import serve_forever
     from repro.serving.index import SiblingLookupIndex
     from repro.serving.service import SiblingQueryService
@@ -750,14 +753,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         if args.archive:
             service = SiblingQueryService.from_archive(args.archive)
-        elif is_index_file(args.list_file):
-            service = SiblingQueryService.from_file(args.list_file)
         else:
             if args.workers > 1:
                 print(
-                    "error: --workers > 1 needs a reloadable source "
-                    "(binary index or --archive); compile the CSV with "
-                    "`repro detect --emit-index` first",
+                    "error: --workers > 1 needs a reloadable --archive "
+                    "source; write one with `repro detect --archive` first",
                     file=sys.stderr,
                 )
                 return 2
@@ -775,7 +775,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     except (
         publish.PublishFormatError,
-        CodecError,
         ArchiveFormatError,
         UnicodeDecodeError,
         csv.Error,
@@ -809,13 +808,8 @@ def _serve_fleet(args: argparse.Namespace) -> int:
 
     from repro.serving.fleet import FleetError, ServiceSource, ServingFleet
 
-    source = (
-        ServiceSource.archive(args.archive)
-        if args.archive
-        else ServiceSource.index(args.list_file)
-    )
     fleet = ServingFleet(
-        source,
+        ServiceSource(args.archive),
         workers=args.workers,
         host=args.host,
         port=args.port,

@@ -227,70 +227,3 @@ def stream_csv(stream: TextIO) -> Iterable[PublishedPair]:
             raise PublishFormatError(
                 f"malformed sibling list row at line {consumed_lines[0]}: {exc}"
             ) from exc
-
-
-def write_index(
-    pairs: Iterable[PublishedPair],
-    path: str,
-    date: datetime.date,
-) -> int:
-    """Compile *pairs* into a binary lookup index at *path*.
-
-    The serving-side artifact emitted alongside the CSV/JSONL exports:
-    built once at publish time, memory-loaded by ``repro serve`` /
-    ``repro lookup``.  Returns the pair count.  (Lazy import: the
-    serving package depends on this module for :class:`PublishedPair`.)
-    """
-    from repro.serving.codec import save_index
-    from repro.serving.index import SiblingLookupIndex
-
-    index = SiblingLookupIndex.from_pairs(pairs, date)
-    save_index(index, path)
-    return len(index)
-
-
-def read_index(path: str):
-    """Load a binary index written by :func:`write_index`; returns the
-    compiled :class:`~repro.serving.index.SiblingLookupIndex`."""
-    from repro.serving.codec import load_index
-
-    return load_index(path)
-
-
-def write_archive(
-    pairs: Iterable[PublishedPair],
-    path: str,
-    date: datetime.date,
-) -> int:
-    """Append *pairs* as one compiled-index generation of a ``.sparch``
-    snapshot archive at *path* (created if missing).
-
-    The archive sibling of :func:`write_index`: instead of one
-    standalone ``.sibidx`` file per publish, successive publishes
-    append generations to a single archive that ``repro serve
-    --archive`` maps zero-copy — the newest generation wins.  Returns
-    the pair count.
-    """
-    from repro.serving.index import SiblingLookupIndex
-    from repro.storage import index_io
-    from repro.storage.archive import ArchiveWriter
-
-    index = SiblingLookupIndex.from_pairs(pairs, date)
-    segments, meta = index_io.index_segments(index)
-    with ArchiveWriter.open(path) as writer:
-        writer.append_generation(
-            date.isoformat(), segments, {index_io.KIND: meta}
-        )
-    return len(index)
-
-
-def read_archive_index(path: str):
-    """Attach to the newest compiled index of a ``.sparch`` archive.
-
-    Returns the mmap-backed
-    :class:`~repro.storage.index_io.MappedSiblingIndex`; the caller
-    owns it (drop or ``close()`` it to release the mapping).
-    """
-    from repro.storage.index_io import load_mapped_index
-
-    return load_mapped_index(path)

@@ -7,8 +7,6 @@ can *query at interactive rates*:
 * :mod:`repro.serving.index` — :class:`SiblingLookupIndex`, an immutable
   compiled index answering longest-prefix-match point queries and
   covering-prefix queries by binary search over packed network keys.
-* :mod:`repro.serving.codec` — a versioned, checksummed binary format so
-  indexes are built once and memory-loaded fast.
 * :mod:`repro.serving.cache` — the LRU answer cache.
 * :mod:`repro.serving.service` — :class:`SiblingQueryService`, the
   stateful façade adding batch APIs, caching, and atomic snapshot
@@ -21,12 +19,12 @@ can *query at interactive rates*:
   mmap-attached to one ``.sparch`` archive, with supervised restarts
   and fleet-wide atomic generation swaps (``repro serve --workers N``).
 
-See ``docs/SERVING.md`` for the index layout, the binary format, and
-the HTTP surface.
+See ``docs/SERVING.md`` for the index layout and the HTTP surface; an
+index persists as a generation of the ``.sparch`` archive
+(:mod:`repro.storage.index_io`, ``docs/STORAGE.md``).
 """
 
 from repro.serving.cache import LruCache
-from repro.serving.codec import CodecError, load_index, save_index
 from repro.serving.index import LookupResult, SiblingLookupIndex
 from repro.serving.service import QueryError, SiblingQueryService
 
@@ -41,7 +39,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "CodecError",
     "FleetError",
     "LookupResult",
     "LruCache",
@@ -50,6 +47,4 @@ __all__ = [
     "ServingFleet",
     "SiblingLookupIndex",
     "SiblingQueryService",
-    "load_index",
-    "save_index",
 ]

@@ -73,56 +73,29 @@ def _require_reuseport() -> None:
 
 @dataclasses.dataclass(frozen=True)
 class ServiceSource:
-    """Where a worker builds (and refreshes) its query service from.
-
-    ``kind="archive"`` attaches the newest generation of a ``.sparch``
-    snapshot archive zero-copy; ``kind="index"`` memory-loads a
-    ``.sibidx`` binary index.  Both kinds support :meth:`refresh`
-    (re-read the file, swap atomically), which is what the
-    supervisor's ``swap`` broadcast triggers.
+    """Where a worker builds (and refreshes) its query service from: the
+    newest generation of the ``.sparch`` snapshot archive at *path*,
+    attached zero-copy.  :meth:`refresh` (re-attach, swap atomically)
+    is what the supervisor's ``swap`` broadcast triggers.
     """
 
-    kind: str
-    path: str
+    path: "str | pathlib.Path"
     cache_size: int = 4096
 
-    @classmethod
-    def archive(
-        cls, path: "str | pathlib.Path", cache_size: int = 4096
-    ) -> "ServiceSource":
-        return cls("archive", str(path), cache_size)
-
-    @classmethod
-    def index(
-        cls, path: "str | pathlib.Path", cache_size: int = 4096
-    ) -> "ServiceSource":
-        return cls("index", str(path), cache_size)
-
     def build(self) -> SiblingQueryService:
-        """A fresh service over the newest committed state at `path`."""
-        if self.kind == "archive":
-            return SiblingQueryService.from_archive(
-                self.path, cache_size=self.cache_size
-            )
-        if self.kind == "index":
-            return SiblingQueryService.from_file(
-                self.path, cache_size=self.cache_size
-            )
-        raise FleetError(f"unknown service source kind {self.kind!r}")
+        """A fresh service over the newest committed generation."""
+        return SiblingQueryService.from_archive(
+            self.path, cache_size=self.cache_size
+        )
 
     def refresh(self, service: SiblingQueryService) -> None:
-        """Swap *service* to the newest committed state at `path`.
+        """Swap *service* to the newest committed generation.
 
         The previous index is dropped (not force-closed): in-flight
         queries still hold a reference and finish on it; the mapping
         is released when the last reference goes.
         """
-        if self.kind == "archive":
-            service.swap_from_archive(self.path)
-        else:
-            from repro.serving.codec import load_index
-
-            service.swap(load_index(self.path))
+        service.swap_from_archive(self.path)
 
 
 def _serving_info(slot: int, service: SiblingQueryService) -> dict:
@@ -617,6 +590,6 @@ class ServingFleet:
     def __repr__(self) -> str:
         state = "started" if self._guard is not None else "stopped"
         return (
-            f"ServingFleet({self.source.kind}:{self.source.path}, "
+            f"ServingFleet({self.source.path}, "
             f"workers={self.workers}, {state})"
         )

@@ -103,13 +103,6 @@ class SiblingQueryService:
         return self._registry
 
     @classmethod
-    def from_file(cls, path, cache_size: int = 4096) -> "SiblingQueryService":
-        """Service over an index loaded from a binary file."""
-        from repro.serving.codec import load_index
-
-        return cls(load_index(path), cache_size=cache_size)
-
-    @classmethod
     def from_archive(cls, path, cache_size: int = 4096) -> "SiblingQueryService":
         """Service over the newest generation of a ``.sparch`` archive.
 

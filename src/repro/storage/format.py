@@ -1,8 +1,7 @@
 """Low-level ``.sparch`` on-disk primitives: pages, CRCs, mmap views.
 
-The persistent snapshot archive (:mod:`repro.storage.archive`) and the
-single-index codec (:mod:`repro.serving.codec`) share the byte-level
-machinery defined here:
+The persistent snapshot archive (:mod:`repro.storage.archive`) is built
+on the byte-level machinery defined here:
 
 * **page alignment** — every archive segment starts on a
   :data:`PAGE_SIZE` boundary so a reader can hand out ``mmap``-backed
@@ -10,9 +9,8 @@ machinery defined here:
   (``view.cast("Q")`` etc.) and fault in only the pages a query
   touches;
 * **checksums** — :func:`crc32_view` computes a CRC-32 over any buffer
-  *without copying it*, which is what lets both the archive reader and
-  the refactored :func:`repro.serving.codec.load_index` validate
-  multi-megabyte files straight out of the page cache;
+  *without copying it*, which is what lets the archive reader validate
+  multi-megabyte segments straight out of the page cache;
 * **mapped files** — :class:`MappedBuffer` wraps ``open`` + ``mmap``
   behind one context manager and exposes the file as a read-only
   :class:`memoryview`.
@@ -90,8 +88,7 @@ def crc32_view(buffer) -> int:
 
     ``zlib.crc32`` accepts the buffer protocol directly, so passing a
     ``mmap``-backed :class:`memoryview` checksums straight out of the
-    page cache — the shared no-copy validation path of the archive
-    reader and :func:`repro.serving.codec.load_index`.
+    page cache — the no-copy validation path of the archive reader.
 
     >>> crc32_view(b"") == 0
     True
@@ -208,11 +205,9 @@ def scan_last_footer(view) -> "tuple[int, int, int, int] | None":
 class MappedBuffer:
     """A read-only ``mmap`` of one file behind a :class:`memoryview`.
 
-    The shared attach primitive: the archive reader keeps one of these
-    open for the lifetime of every view it hands out, and the index
-    codec opens one transiently to parse without reading the file into
-    a ``bytes`` copy first.  Closing is idempotent; views must not be
-    used after :meth:`close`.
+    The attach primitive: the archive reader keeps one of these open
+    for the lifetime of every view it hands out.  Closing is
+    idempotent; views must not be used after :meth:`close`.
     """
 
     def __init__(self, path: "str | pathlib.Path"):

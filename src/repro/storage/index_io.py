@@ -15,16 +15,15 @@ zero-copy:
 * **postings** — one family-global ``u32`` array of pair-table
   positions plus a ``u64`` offsets array aligned with the concatenated
   keys; a hit slices its posting list out of the view.
-* **records** — the same fixed 44-byte pair records as the ``.sibidx``
-  codec (:func:`repro.serving.codec.pack_records`), decoded *lazily*:
-  :class:`MappedPairTable` materializes a
-  :class:`~repro.publish.PublishedPair` only for the records a query
-  actually returns.
+* **records** — one fixed 44-byte record per pair
+  (:func:`pack_records`), decoded *lazily*: :class:`MappedPairTable`
+  materializes a :class:`~repro.publish.PublishedPair` only for the
+  records a query actually returns.
 
 Cold start therefore costs one manifest parse — no pair objects, no
 sort, no group compilation — which is what
-``benchmarks/bench_archive_coldstart.py`` measures against the codec
-load-and-compile path.  Answers are bit-identical to the in-memory
+``benchmarks/bench_archive_coldstart.py`` measures against parsing and
+compiling a CSV export.  Answers are bit-identical to the in-memory
 index (``tests/test_storage_archive.py`` property-tests this).
 """
 
@@ -32,13 +31,14 @@ from __future__ import annotations
 
 import datetime
 import pathlib
+import struct
 from array import array
 from bisect import bisect_left
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.nettypes.addr import MAX_LENGTH
-from repro.nettypes.prefix import Prefix
-from repro.serving import codec
+from repro.nettypes.prefix import Prefix, PrefixError
+from repro.publish import PublishedPair
 from repro.serving.index import SiblingLookupIndex
 from repro.storage.archive import ArchiveReader, Generation
 from repro.storage.format import ArchiveFormatError
@@ -52,6 +52,93 @@ _WIDE_KEY_BYTES = 16
 #: Manifest meta kind for these segments.
 KIND = "index"
 
+#: One pair record (big-endian): IPv4 value/length, IPv6 value (16
+#: bytes)/length, jaccard as an IEEE double, the three domain counts,
+#: tri-state ``same_org`` (-1 = unknown) and a slot in the generation's
+#: ROV-status table (255 = none).
+_RECORD = struct.Struct(">IB16sBdIIIbB")
+RECORD_SIZE = _RECORD.size
+
+_NO_ROV = 255
+_SAME_ORG = {None: -1, False: 0, True: 1}
+_SAME_ORG_BACK = {-1: None, 0: False, 1: True}
+
+
+def pack_records(pairs: Iterable[PublishedPair]) -> tuple[bytes, list[str]]:
+    """Pack *pairs* into the fixed-width record layout.
+
+    Returns ``(records, rov_table)`` — the concatenated 44-byte records
+    and the ROV-status string table they index into.
+    """
+    rov_table: list[str] = []
+    rov_slots: dict[str, int] = {}
+    body = bytearray()
+    for pair in pairs:
+        if pair.rov_status is not None and pair.rov_status not in rov_slots:
+            if len(rov_table) >= _NO_ROV:
+                raise ArchiveFormatError(
+                    "too many distinct ROV statuses (max 255)"
+                )
+            rov_slots[pair.rov_status] = len(rov_table)
+            rov_table.append(pair.rov_status)
+        body += _RECORD.pack(
+            pair.v4_prefix.value,
+            pair.v4_prefix.length,
+            pair.v6_prefix.value.to_bytes(16, "big"),
+            pair.v6_prefix.length,
+            pair.jaccard,
+            pair.shared_domains,
+            pair.v4_domains,
+            pair.v6_domains,
+            _SAME_ORG[pair.same_org],
+            _NO_ROV if pair.rov_status is None else rov_slots[pair.rov_status],
+        )
+    return bytes(body), rov_table
+
+
+def decode_record(
+    buffer, position: int, rov_table: Sequence[str]
+) -> PublishedPair:
+    """Decode record *position* from any bytes-like *buffer*.
+
+    Records decode straight out of an ``mmap`` view, one at a time; an
+    invalid prefix or ROV slot raises
+    :class:`~repro.storage.format.ArchiveFormatError`.
+    """
+    (
+        v4_value,
+        v4_length,
+        v6_bytes,
+        v6_length,
+        jaccard,
+        shared,
+        v4_domains,
+        v6_domains,
+        same_org_code,
+        rov_slot,
+    ) = _RECORD.unpack_from(buffer, position * _RECORD.size)
+    try:
+        v4_prefix = Prefix(4, v4_value, v4_length)
+        v6_prefix = Prefix(6, int.from_bytes(v6_bytes, "big"), v6_length)
+    except PrefixError as exc:
+        raise ArchiveFormatError(
+            f"invalid prefix in record {position}: {exc}"
+        ) from exc
+    if rov_slot != _NO_ROV and rov_slot >= len(rov_table):
+        raise ArchiveFormatError(
+            f"record {position} references unknown ROV slot"
+        )
+    return PublishedPair(
+        v4_prefix=v4_prefix,
+        v6_prefix=v6_prefix,
+        jaccard=jaccard,
+        shared_domains=shared,
+        v4_domains=v4_domains,
+        v6_domains=v6_domains,
+        same_org=_SAME_ORG_BACK.get(same_org_code),
+        rov_status=None if rov_slot == _NO_ROV else rov_table[rov_slot],
+    )
+
 
 def index_segments(index: SiblingLookupIndex) -> tuple[dict, dict]:
     """Encode a compiled *index* into archive segments.
@@ -62,7 +149,7 @@ def index_segments(index: SiblingLookupIndex) -> tuple[dict, dict]:
     :class:`~repro.serving.index.SiblingLookupIndex` so the mapped
     reader does no recompilation.
     """
-    records, rov_table = codec.pack_records(index.pairs)
+    records, rov_table = pack_records(index.pairs)
     segments: dict[str, bytes] = {"index.records": records}
     families_meta: dict[str, list] = {}
     for version in (4, 6):
@@ -131,10 +218,10 @@ class MappedPairTable(Sequence):
     __slots__ = ("_records", "_count", "_rov_table")
 
     def __init__(self, records: memoryview, count: int, rov_table: Sequence[str]):
-        if len(records) != count * codec.RECORD_SIZE:
+        if len(records) != count * RECORD_SIZE:
             raise ArchiveFormatError(
                 f"index records segment holds {len(records)} bytes, "
-                f"expected {count * codec.RECORD_SIZE} for {count} pairs"
+                f"expected {count * RECORD_SIZE} for {count} pairs"
             )
         self._records = records
         self._count = count
@@ -152,7 +239,7 @@ class MappedPairTable(Sequence):
             position += self._count
         if not 0 <= position < self._count:
             raise IndexError(position)
-        return codec.decode_record(self._records, position, self._rov_table)
+        return decode_record(self._records, position, self._rov_table)
 
     def __iter__(self) -> Iterator:
         for position in range(self._count):

@@ -56,12 +56,14 @@ def _loadgen_options():
     working directory (the benchmarks package is not on ``sys.path``
     under every invocation).
     """
+    import importlib.machinery
     import importlib.util
     import sys
 
-    spec = importlib.util.spec_from_file_location(
-        "_docs_sync_loadgen", REPO / "benchmarks" / "loadgen.py"
+    loader = importlib.machinery.SourceFileLoader(
+        "_docs_sync_loadgen", str(REPO / "benchmarks" / "loadgen.py")
     )
+    spec = importlib.util.spec_from_loader(loader.name, loader)
     module = importlib.util.module_from_spec(spec)
     # Registered so the module's dataclasses can resolve their own
     # (string) annotations during class creation.

@@ -206,7 +206,7 @@ def test_fleet_merges_worker_registries(tmp_path):
     archive = tmp_path / "obs.sparch"
     append_index(archive, _demo_index(0))
     lookups = 10
-    with ServingFleet(ServiceSource.archive(archive), workers=2) as fleet:
+    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
         fleet.start()
         for _ in range(lookups):
             _fetch(fleet.url + "/v1/lookup?ip=192.0.2.7")
@@ -248,7 +248,7 @@ def test_fleet_status_tracks_generation_after_swap(tmp_path):
 
     archive = tmp_path / "swap.sparch"
     append_index(archive, _demo_index(0))
-    with ServingFleet(ServiceSource.archive(archive), workers=2) as fleet:
+    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
         fleet.start()
         append_index(archive, _demo_index(1))
         acks = fleet.broadcast_swap()
@@ -271,7 +271,7 @@ def test_status_cli_fleet_and_worker_views(tmp_path, capsys):
 
     archive = tmp_path / "cli.sparch"
     append_index(archive, _demo_index(0))
-    with ServingFleet(ServiceSource.archive(archive), workers=2) as fleet:
+    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
         fleet.start()
         assert main(["status", fleet.control_url]) == 0
         out = capsys.readouterr().out

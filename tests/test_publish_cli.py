@@ -8,7 +8,10 @@ from repro import publish
 from repro.analysis.pipeline import detect_at
 from repro.cli import main
 from repro.dates import REFERENCE_DATE
+from repro.nettypes.addr import format_ipv6
 from repro.nettypes.prefix import Prefix
+from repro.storage.format import FOOTER
+from repro.storage.index_io import load_mapped_index
 
 
 @pytest.fixture(scope="module")
@@ -176,30 +179,18 @@ class TestStreamCsv:
         assert publish.header_snapshot_date("# a | snapshot=20XX-01-01") is None
 
 
-class TestPublishIndex:
-    def test_write_read_index_roundtrip(self, published, tmp_path):
-        path = tmp_path / "list.sibidx"
-        count = publish.write_index(published, path, REFERENCE_DATE)
-        assert count == len(published)
-        index = publish.read_index(path)
-        assert list(index) == sorted(
-            published, key=lambda pair: (pair.v4_prefix, pair.v6_prefix)
-        )
-        assert index.snapshot == REFERENCE_DATE
-
-
 class TestServingCli:
     @pytest.fixture(scope="class")
     def exports(self, tmp_path_factory):
-        """One detect run exported as CSV + binary index."""
+        """One detect run exported as CSV + .sparch archive."""
         directory = tmp_path_factory.mktemp("exports")
         csv_path = directory / "siblings.csv"
-        index_path = directory / "siblings.sibidx"
+        index_path = directory / "siblings.sparch"
         assert (
             main(
                 [
                     "detect", "--scenario", "tiny", "--format", "csv",
-                    "-o", str(csv_path), "--emit-index", str(index_path),
+                    "-o", str(csv_path), "--archive", str(index_path),
                 ]
             )
             == 0
@@ -218,13 +209,12 @@ class TestServingCli:
 
     def test_lookup_address_inside_prefix(self, exports, capsys):
         _, index_path = exports
-        index = publish.read_index(index_path)
+        index = load_mapped_index(index_path)
         target = index.pairs[0].v6_prefix
-        address = target.value | 0x99
-        from repro.nettypes.addr import format_ipv6
-
-        expected = index.lookup(format_ipv6(address))
-        assert main(["lookup", str(index_path), format_ipv6(address)]) == 0
+        address = format_ipv6(target.value | 0x99)
+        expected = index.lookup(address)
+        index.close()
+        assert main(["lookup", str(index_path), address]) == 0
         assert str(expected.matched) in capsys.readouterr().out
 
     def test_lookup_malformed_query_exits_2(self, exports, capsys):
@@ -245,8 +235,12 @@ class TestServingCli:
     def test_lookup_corrupt_index_exits_2(self, exports, tmp_path, capsys):
         _, index_path = exports
         data = bytearray(index_path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        corrupt = tmp_path / "corrupt.sibidx"
+        # Flip a byte of the manifest (its offset is in the footer).
+        manifest = int.from_bytes(
+            data[-FOOTER.size + 8:-FOOTER.size + 16], "little"
+        )
+        data[manifest + 4] ^= 0xFF
+        corrupt = tmp_path / "corrupt.sparch"
         corrupt.write_bytes(bytes(data))
         assert main(["lookup", str(corrupt), "192.0.2.1"]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Serving subsystem: compiled index vs oracles, codec, cache, service.
+"""Serving subsystem: compiled index vs oracles, cache, service.
 
 The LPM contract is enforced three ways on randomized scenarios: the
 compiled :class:`SiblingLookupIndex` must agree bit-for-bit with the
@@ -20,14 +20,6 @@ from repro.nettypes.prefix import Prefix, PrefixError
 from repro.nettypes.trie import PatriciaTrie
 from repro.publish import PublishedPair
 from repro.serving.cache import LruCache
-from repro.serving.codec import (
-    CodecError,
-    dump_bytes,
-    is_index_file,
-    load_bytes,
-    load_index,
-    save_index,
-)
 from repro.serving.http import make_server
 from repro.serving.index import (
     LookupResult,
@@ -231,80 +223,6 @@ class TestIndexVsOracles:
         assert stats["snapshot"] == SNAPSHOT.isoformat()
         assert stats["v4_prefixes"] == index.prefix_count(4)
         assert stats["v4_lengths"] == sorted(stats["v4_lengths"], reverse=True)
-
-
-class TestCodec:
-    @pytest.fixture(scope="class")
-    def index(self):
-        _, pairs = random_scenario(42, n_pairs=80)
-        return SiblingLookupIndex.from_pairs(pairs, SNAPSHOT)
-
-    def test_roundtrip_bit_identical(self, index, tmp_path):
-        path = tmp_path / "list.sibidx"
-        size = save_index(index, path)
-        assert size == path.stat().st_size
-        loaded = load_index(path)
-        assert loaded.pairs == index.pairs          # includes exact floats
-        assert loaded.snapshot == index.snapshot
-        assert loaded.stats() == index.stats()
-        # Same answers from the recompiled structure.
-        probe = index.pairs[3].v6_prefix
-        assert loaded.lookup(probe).pairs == index.lookup(probe).pairs
-
-    def test_roundtrip_empty(self):
-        index = SiblingLookupIndex.from_pairs([], SNAPSHOT)
-        loaded = load_bytes(dump_bytes(index))
-        assert len(loaded) == 0
-        assert loaded.lookup("192.0.2.1") is None
-
-    def test_is_index_file(self, index, tmp_path):
-        path = tmp_path / "list.sibidx"
-        save_index(index, path)
-        assert is_index_file(path)
-        csv_path = tmp_path / "list.csv"
-        csv_path.write_text("# sibling-prefixes list v1\nv4_prefix\n")
-        assert not is_index_file(csv_path)
-        assert not is_index_file(tmp_path / "missing.bin")
-
-    def test_rejects_bad_magic(self, index):
-        data = bytearray(dump_bytes(index))
-        data[:4] = b"NOPE"
-        with pytest.raises(CodecError, match="magic"):
-            load_bytes(bytes(data))
-
-    def test_rejects_future_version(self, index):
-        data = bytearray(dump_bytes(index))
-        data[8:10] = (99).to_bytes(2, "big")
-        with pytest.raises(CodecError, match="version 99"):
-            load_bytes(bytes(data))
-
-    def test_rejects_corruption(self, index):
-        data = bytearray(dump_bytes(index))
-        data[len(data) // 2] ^= 0xFF
-        with pytest.raises(CodecError, match="checksum|malformed"):
-            load_bytes(bytes(data))
-
-    def test_rejects_truncation(self, index):
-        data = dump_bytes(index)
-        for cut in (4, len(data) // 2, len(data) - 3):
-            with pytest.raises(CodecError):
-                load_bytes(data[:cut])
-
-    def test_preserves_optional_fields(self):
-        pairs = [
-            PublishedPair(
-                Prefix.parse("192.0.2.0/24"), Prefix.parse("2001:db8::/32"),
-                1 / 3, 1, 2, 2, same_org, rov,
-            )
-            for same_org, rov in (
-                (None, None), (True, "both valid"), (False, "both invalid"),
-            )
-        ]
-        loaded = load_bytes(dump_bytes(SiblingLookupIndex.from_pairs(pairs, SNAPSHOT)))
-        assert {(p.same_org, p.rov_status) for p in loaded.pairs} == {
-            (None, None), (True, "both valid"), (False, "both invalid"),
-        }
-        assert all(p.jaccard == 1 / 3 for p in loaded.pairs)
 
 
 class TestLruCache:

@@ -45,6 +45,7 @@ from repro.nettypes.prefix import Prefix
 from repro.publish import PublishedPair
 from repro.serving.fleet import FleetError, ServiceSource, ServingFleet
 from repro.serving.index import SiblingLookupIndex
+from repro.storage.format import ArchiveFormatError
 from repro.storage.index_io import append_index
 
 pytestmark = pytest.mark.skipif(
@@ -184,7 +185,7 @@ def test_swap_storm_with_worker_kill(tmp_path):
     clients = []
     killed_at = drained_at = None
     with ServingFleet(
-        ServiceSource.archive(archive), workers=FLEET_WORKERS
+        ServiceSource(archive), workers=FLEET_WORKERS
     ) as fleet:
         fleet.start()
         clients = [
@@ -276,7 +277,7 @@ def test_restarted_worker_attaches_newest_generation(tmp_path):
     archive = tmp_path / "restart.sparch"
     append_index(archive, _make_index(0))
     with ServingFleet(
-        ServiceSource.archive(archive), workers=FLEET_WORKERS
+        ServiceSource(archive), workers=FLEET_WORKERS
     ) as fleet:
         fleet.start()
         append_index(archive, _make_index(1))
@@ -309,7 +310,7 @@ def test_fleet_serves_on_one_port_across_workers(tmp_path):
     archive = tmp_path / "port.sparch"
     append_index(archive, _make_index(3))
     with ServingFleet(
-        ServiceSource.archive(archive), workers=FLEET_WORKERS
+        ServiceSource(archive), workers=FLEET_WORKERS
     ) as fleet:
         fleet.start()
         host, port = fleet.host, fleet.port
@@ -368,18 +369,18 @@ def test_serve_series_fleet_pipeline(tmp_path, tiny_universe):
 
 def test_fleet_rejects_bad_configuration(tmp_path):
     with pytest.raises(FleetError):
-        ServingFleet(ServiceSource.archive(tmp_path / "x.sparch"), workers=0)
-    fleet = ServingFleet(ServiceSource.archive(tmp_path / "x.sparch"))
+        ServingFleet(ServiceSource(tmp_path / "x.sparch"), workers=0)
+    fleet = ServingFleet(ServiceSource(tmp_path / "x.sparch"))
     with pytest.raises(FleetError):
         fleet.port  # not started
-    with pytest.raises(FleetError):
-        ServiceSource("bogus", "nope").build()
+    with pytest.raises(ArchiveFormatError):
+        ServiceSource(tmp_path / "not-an-archive.sparch").build()
 
 
 def test_fleet_start_fails_cleanly_on_missing_archive(tmp_path):
     """A worker that cannot attach dies; start() raises, no leaks."""
     fleet = ServingFleet(
-        ServiceSource.archive(tmp_path / "missing.sparch"),
+        ServiceSource(tmp_path / "missing.sparch"),
         workers=1,
         ready_timeout=10,
     )
@@ -396,4 +397,4 @@ def test_cli_serve_workers_validation(tmp_path, capsys):
     assert main(["serve", str(csv_path), "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
     assert main(["serve", str(csv_path), "--workers", "2"]) == 2
-    assert "--emit-index" in capsys.readouterr().err
+    assert "detect --archive" in capsys.readouterr().err

@@ -11,14 +11,16 @@ Three invariant families:
   *resumes* from archived columnar state and continues via appended
   snapshot deltas (hypothesis-driven churn series).
 * **Format robustness** — truncation, bit flips, bad magic, and future
-  versions raise :class:`~repro.storage.format.ArchiveFormatError`
-  (or :class:`~repro.serving.codec.CodecError` on the ``.sibidx``
-  path); an aborted append leaves every committed generation readable.
+  versions raise :class:`~repro.storage.format.ArchiveFormatError`; a
+  hypothesis fuzzer flips, overwrites and truncates bytes of a small
+  archive and accepts only that error or the original answers; an
+  aborted append leaves every committed generation readable.
 * **Serving integration** — ``SiblingQueryService.from_archive`` /
-  ``swap_from_archive`` answer exactly like the codec-loaded service.
+  ``swap_from_archive`` answer exactly like the in-memory service.
 """
 
 import datetime
+import json
 import pathlib
 import random
 import subprocess
@@ -36,24 +38,33 @@ from test_incremental_pipeline import (
     snapshot_from_table,
 )
 
-from repro import publish
 from repro.analysis.pipeline import archive_detection, detect_series
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_address
 from repro.nettypes.prefix import Prefix
 from repro.publish import PublishedPair
-from repro.serving.codec import load_bytes, load_index, save_index
 from repro.serving.index import SiblingLookupIndex, scan_lookup
 from repro.serving.service import SiblingQueryService
 from repro.storage.archive import ArchiveReader, ArchiveWriter
 from repro.storage.format import (
     FOOTER,
+    HEADER,
     ArchiveFormatError,
     align_up,
     crc32_view,
 )
-from repro.storage.index_io import load_mapped_index
+from repro.storage.index_io import append_index, load_mapped_index
+
+SNAPSHOT = datetime.date(2024, 9, 11)
+
+
+def archive_pairs(path, pairs, date=SNAPSHOT):
+    """Compile *pairs* and append them to the archive at *path* as one
+    generation; returns the in-memory index."""
+    index = SiblingLookupIndex.from_pairs(pairs, date)
+    append_index(path, index)
+    return index
 
 
 def make_pairs(count: int, seed: int = 11, wide: bool = False):
@@ -82,6 +93,28 @@ def make_pairs(count: int, seed: int = 11, wide: bool = False):
     return list(pairs.values())
 
 
+def tri_state_pairs():
+    """Every ``same_org`` state with no ROV status, plus one with one."""
+    states = ((None, None), (True, None), (False, None), (False, "both-valid"))
+    return [
+        PublishedPair(
+            Prefix.parse(f"192.0.{slot}.0/24"),
+            Prefix.parse(f"2001:db8:{slot}::/48"),
+            1 / 3, 1, 2, 2, same_org, rov,
+        )
+        for slot, (same_org, rov) in enumerate(states)
+    ]
+
+
+#: Inputs of the mapped round-trip test, by test id.
+ROUND_TRIP_INPUTS = {
+    "le64": lambda: make_pairs(120),
+    "wide": lambda: make_pairs(120, wide=True),
+    "tri_state": tri_state_pairs,
+    "empty": list,
+}
+
+
 def queries_for(index, count, seed=3):
     """Hit-biased address/prefix query strings for both families."""
     rng = random.Random(seed)
@@ -93,11 +126,11 @@ def queries_for(index, count, seed=3):
     queries = []
     for _ in range(count):
         roll = rng.random()
-        if roll < 0.6:
+        if stored and roll < 0.6:
             base = rng.choice(stored)
             value = base.value | rng.getrandbits(base.host_bits)
             queries.append(format_address(base.version, value))
-        elif roll < 0.8:
+        elif stored and roll < 0.8:
             base = rng.choice(stored)
             queries.append(str(base))
         else:
@@ -126,14 +159,12 @@ def assert_same_answers(mapped, memory, queries):
 
 
 class TestMappedIndexRoundTrip:
-    @pytest.mark.parametrize("wide", (False, True), ids=("le64", "wide"))
-    def test_bit_identical_answers(self, tmp_path, wide):
-        pairs = make_pairs(120, wide=wide)
-        date = datetime.date(2024, 9, 11)
+    @pytest.mark.parametrize("inputs", ROUND_TRIP_INPUTS)
+    def test_bit_identical_answers(self, tmp_path, inputs):
+        pairs = ROUND_TRIP_INPUTS[inputs]()
         path = tmp_path / "pairs.sparch"
-        assert publish.write_archive(pairs, path, date) == len(pairs)
-
-        memory = SiblingLookupIndex.from_pairs(pairs, date)
+        memory = archive_pairs(path, pairs)
+        assert len(memory) == len(pairs)
         mapped = load_mapped_index(path)
         try:
             assert mapped.snapshot == memory.snapshot
@@ -155,8 +186,7 @@ class TestMappedIndexRoundTrip:
     def test_lookup_address_fast_path(self, tmp_path):
         pairs = make_pairs(40)
         path = tmp_path / "pairs.sparch"
-        publish.write_archive(pairs, path, datetime.date(2024, 9, 11))
-        memory = SiblingLookupIndex.from_pairs(pairs, datetime.date(2024, 9, 11))
+        memory = archive_pairs(path, pairs)
         mapped = load_mapped_index(path)
         try:
             rng = random.Random(5)
@@ -176,14 +206,12 @@ class TestMappedIndexRoundTrip:
         path = tmp_path / "multi.sparch"
         first = make_pairs(30, seed=1)
         second = make_pairs(45, seed=2)
-        publish.write_archive(first, path, datetime.date(2024, 9, 10))
-        publish.write_archive(second, path, datetime.date(2024, 9, 11))
+        archive_pairs(path, first, datetime.date(2024, 9, 10))
+        newest = archive_pairs(path, second)
         mapped = load_mapped_index(path)
         try:
-            assert mapped.snapshot == datetime.date(2024, 9, 11)
-            assert tuple(mapped.pairs) == SiblingLookupIndex.from_pairs(
-                second, datetime.date(2024, 9, 11)
-            ).pairs
+            assert mapped.snapshot == SNAPSHOT
+            assert tuple(mapped.pairs) == newest.pairs
         finally:
             mapped.close()
 
@@ -195,8 +223,7 @@ class TestMappedIndexRoundTrip:
         wide = data.draw(st.booleans())
         pairs = make_pairs(count, seed=seed, wide=wide)
         path = tmp_path_factory.mktemp("prop") / "p.sparch"
-        publish.write_archive(pairs, path, datetime.date(2024, 9, 11))
-        memory = SiblingLookupIndex.from_pairs(pairs, datetime.date(2024, 9, 11))
+        memory = archive_pairs(path, pairs)
         mapped = load_mapped_index(path)
         try:
             assert_same_answers(
@@ -376,27 +403,21 @@ class TestArchivedSeries:
 
 
 class TestServiceIntegration:
-    def test_from_archive_equals_from_file(self, tmp_path):
-        pairs = make_pairs(60)
-        date = datetime.date(2024, 9, 11)
-        sparch = tmp_path / "s.sparch"
-        sibidx = tmp_path / "s.sibidx"
-        publish.write_archive(pairs, sparch, date)
-        index = SiblingLookupIndex.from_pairs(pairs, date)
-        save_index(index, sibidx)
-
-        archived = SiblingQueryService.from_archive(sparch)
-        loaded = SiblingQueryService.from_file(sibidx)
+    def test_from_archive_equals_memory(self, tmp_path):
+        path = tmp_path / "s.sparch"
+        index = archive_pairs(path, make_pairs(60))
+        archived = SiblingQueryService.from_archive(path)
+        memory = SiblingQueryService(index)
         for query in queries_for(index, 150):
-            assert archived.lookup(query) == loaded.lookup(query)
+            assert archived.lookup(query) == memory.lookup(query)
         archived.index.close()
 
     def test_swap_from_archive_remaps(self, tmp_path):
         path = tmp_path / "s.sparch"
-        publish.write_archive(make_pairs(10, seed=1), path, datetime.date(2024, 9, 10))
+        archive_pairs(path, make_pairs(10, seed=1), datetime.date(2024, 9, 10))
         service = SiblingQueryService.from_archive(path)
         generation = service.generation
-        publish.write_archive(make_pairs(20, seed=2), path, datetime.date(2024, 9, 11))
+        archive_pairs(path, make_pairs(20, seed=2))
         previous = service.swap_from_archive(path)
         assert service.generation == generation + 1
         assert service.index.snapshot == datetime.date(2024, 9, 11)
@@ -405,23 +426,10 @@ class TestServiceIntegration:
         service.index.close()
 
 
-class TestCodecMmapPath:
-    def test_load_index_equals_load_bytes(self, tmp_path):
-        index = SiblingLookupIndex.from_pairs(
-            make_pairs(80), datetime.date(2024, 9, 11)
-        )
-        path = tmp_path / "x.sibidx"
-        save_index(index, path)
-        via_mmap = load_index(path)
-        via_bytes = load_bytes(path.read_bytes())
-        assert via_mmap.pairs == via_bytes.pairs == index.pairs
-        assert via_mmap.snapshot == index.snapshot
-
-
 class TestFormatRobustness:
     def _archive(self, tmp_path):
         path = tmp_path / "r.sparch"
-        publish.write_archive(make_pairs(25), path, datetime.date(2024, 9, 11))
+        archive_pairs(path, make_pairs(25))
         return path
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -525,6 +533,82 @@ class TestFormatRobustness:
             assert reader.pool_names() == [""]
 
 
+def mapped_answers(path, queries):
+    """(snapshot, pairs, per-query LPM answers) read back from *path*."""
+    index = load_mapped_index(path)
+    try:
+        answers = []
+        for query in queries:
+            result = index.lookup(query)
+            answers.append(result and (result.matched, result.pairs))
+        return index.snapshot, tuple(index.pairs), answers
+    finally:
+        index.close()
+
+
+def live_offsets(data: bytes) -> list[int]:
+    """Every byte offset a reader interprets: the header preamble, each
+    segment payload, the manifest and the footer (not page padding)."""
+    _, manifest_at, manifest_len, _, _ = FOOTER.unpack_from(
+        data, len(data) - FOOTER.size
+    )
+    manifest = json.loads(data[manifest_at:manifest_at + manifest_len])
+    spans = [
+        (0, HEADER.size),
+        (manifest_at, manifest_len),
+        (len(data) - FOOTER.size, FOOTER.size),
+    ]
+    for generation in manifest["generations"]:
+        spans.extend(
+            (offset, length)
+            for offset, length, _crc in generation["segments"].values()
+        )
+    return [at for start, length in spans for at in range(start, start + length)]
+
+
+class TestArchiveFuzz:
+    """Damaged archive bytes give the original answers or raise
+    :class:`ArchiveFormatError` — never another exception, never a
+    different answer."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        path = directory / "tiny.sparch"
+        memory = archive_pairs(path, make_pairs(6, seed=4) + tri_state_pairs())
+        queries = queries_for(memory, 24, seed=9)
+        archive = path.read_bytes()
+        return (
+            archive,
+            live_offsets(archive),
+            queries,
+            mapped_answers(path, queries),
+            directory / "damaged.sparch",
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damage_is_rejected_or_harmless(self, original, data):
+        archive, live, queries, expected, path = original
+        damaged = bytearray(archive)
+        action = data.draw(st.sampled_from(("flip", "overwrite", "truncate")))
+        if action == "truncate":
+            del damaged[data.draw(st.integers(0, len(archive) - 1)):]
+        else:
+            at = live[data.draw(st.integers(0, len(live) - 1))]
+            if action == "flip":
+                damaged[at] ^= 1 << data.draw(st.integers(0, 7))
+            else:
+                chunk = data.draw(st.binary(min_size=1, max_size=16))
+                damaged[at:at + len(chunk)] = chunk
+        path.write_bytes(bytes(damaged))
+        try:
+            got = mapped_answers(path, queries)
+        except ArchiveFormatError:
+            return
+        assert got == expected
+
+
 # -- crash recovery ----------------------------------------------------------
 
 #: Child-process body for the SIGKILL crash-point matrix: append one
@@ -576,7 +660,7 @@ class TestCrashRecovery:
 
     def _committed_archive(self, tmp_path) -> tuple[pathlib.Path, bytes]:
         path = tmp_path / "crash.sparch"
-        publish.write_archive(make_pairs(25), path, datetime.date(2024, 9, 11))
+        archive_pairs(path, make_pairs(25))
         return path, path.read_bytes()
 
     @pytest.mark.parametrize("point", CRASH_POINTS)
@@ -621,9 +705,7 @@ class TestCrashRecovery:
             timeout=60,
         )
         assert child.returncode == -9, child.stderr.decode()
-        publish.write_archive(
-            make_pairs(30, seed=2), path, datetime.date(2024, 9, 12)
-        )
+        archive_pairs(path, make_pairs(30, seed=2), datetime.date(2024, 9, 12))
         with ArchiveReader.open(path) as reader:
             assert not reader.recovered
             assert [g.date for g in reader.generations] == [
@@ -636,9 +718,9 @@ class TestCrashRecovery:
         between commit N and commit N+1, recovery yields exactly the
         generations of commit N."""
         path = tmp_path / "sweep.sparch"
-        publish.write_archive(make_pairs(10, seed=1), path, datetime.date(2024, 9, 10))
+        archive_pairs(path, make_pairs(10, seed=1), datetime.date(2024, 9, 10))
         first = len(path.read_bytes())
-        publish.write_archive(make_pairs(15, seed=2), path, datetime.date(2024, 9, 11))
+        archive_pairs(path, make_pairs(15, seed=2))
         data = path.read_bytes()
         second = len(data)
 
