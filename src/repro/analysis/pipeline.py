@@ -431,46 +431,6 @@ def serve_series(
     return service
 
 
-def serve_series_fleet(
-    universe: Universe,
-    dates: Iterable[datetime.date],
-    archive: "str | pathlib.Path",
-    serve_workers: int = 2,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    substrate: "str | Substrate | None" = None,
-    incremental: bool = False,
-):
-    """Detect the series into *archive*, then serve it with a fleet.
-
-    The multi-process sibling of :func:`serve_series`: every date is
-    detected (or loaded back) through the archive-backed
-    :func:`detect_series`, so the ``.sparch`` file ends holding one
-    committed generation per date, and a started
-    :class:`~repro.serving.fleet.ServingFleet` of *serve_workers*
-    processes is returned, all mmap-attached to the newest generation.
-    The caller owns the fleet (use it as a context manager, or call
-    ``stop()``); later detections appending to the same archive are
-    propagated with ``fleet.broadcast_swap()``.
-    """
-    from repro.serving.fleet import ServiceSource, ServingFleet
-
-    detect_series(
-        universe,
-        dates,
-        substrate=substrate,
-        incremental=incremental,
-        archive=archive,
-    )
-    fleet = ServingFleet(
-        ServiceSource(archive),
-        workers=serve_workers,
-        host=host,
-        port=port,
-    )
-    return fleet.start()
-
-
 def paper_offsets(
     reference: datetime.date,
 ) -> list[tuple[str, datetime.date]]:

@@ -8,8 +8,7 @@ detection pipeline (full build on the first date or an annotator
 change, :class:`~repro.dns.openintel.SnapshotDelta` otherwise), append
 the resulting generation to a ``.sparch`` archive through the
 footer-commit protocol, and atomically hot-swap the in-process
-:class:`~repro.serving.service.SiblingQueryService` (and optionally
-``broadcast_swap()`` a whole :class:`~repro.serving.fleet.ServingFleet`).
+:class:`~repro.serving.service.SiblingQueryService`.
 
 Crash semantics are the archive's: every generation is durable at
 commit, and a kill -9 anywhere — including mid-append — costs only the
@@ -107,8 +106,9 @@ def write_snapshot_file(
 
 def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
     """Parse one snapshot file; raises :class:`WatchError` on anything
-    malformed (bad JSON, wrong schema version, addresses of the wrong
-    family in a ``v4``/``v6`` bucket)."""
+    malformed (bad JSON, wrong schema version, a domain that is not a
+    non-empty string, addresses of the wrong family in a ``v4``/``v6``
+    bucket)."""
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -126,7 +126,7 @@ def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
         date = datetime.date.fromisoformat(payload["date"])
         observations = [
             DomainObservation(
-                str(entry["domain"]),
+                _parse_domain(entry["domain"], path),
                 _parse_family(entry.get("v4", ()), 4, path),
                 _parse_family(entry.get("v6", ()), 6, path),
             )
@@ -137,6 +137,12 @@ def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
     except (KeyError, TypeError, ValueError) as exc:
         raise WatchError(f"malformed snapshot file {path}: {exc}") from exc
     return DnsSnapshot(date, observations)
+
+
+def _parse_domain(domain, path: pathlib.Path) -> str:
+    if not isinstance(domain, str) or not domain:
+        raise WatchError(f"{path}: bad domain {domain!r}")
+    return domain
 
 
 def _parse_family(
@@ -251,8 +257,7 @@ class SnapshotWatcher:
     ``poll()``/``backlog()``/``errors``), or a bare feed callable.
     *annotator_for* maps a date to its routing annotator (a universe's
     ``annotator_at`` bound method in practice).  *service* (optional)
-    is hot-swapped after every changed generation; *fleet* (optional)
-    additionally gets a ``broadcast_swap()``.
+    is hot-swapped after every changed generation.
 
     Constructing the watcher repairs the archive (truncating any torn
     tail), adopts its intern pool, and — when *service* is given and
@@ -267,7 +272,6 @@ class SnapshotWatcher:
         annotator_for: Callable,
         archive: "str | pathlib.Path",
         service=None,
-        fleet=None,
         substrate: "str | Substrate | None" = None,
         budget_seconds: "float | None" = None,
         poll_interval: float = 0.5,
@@ -279,7 +283,6 @@ class SnapshotWatcher:
         self.budget_seconds = budget_seconds
         self._annotator_for = annotator_for
         self._service = service
-        self._fleet = fleet
 
         registry = registry if registry is not None else get_registry()
         self._m_snapshots = registry.counter("watch.snapshots")
@@ -381,11 +384,8 @@ class SnapshotWatcher:
                 # serve_series does — generation counters track real
                 # publishes only.
                 self._m_swaps_skipped.inc()
-            else:
-                if self._service is not None:
-                    self._service.swap_from_archive(self.archive)
-                if self._fleet is not None:
-                    self._fleet.broadcast_swap()
+            elif self._service is not None:
+                self._service.swap_from_archive(self.archive)
         self._published = siblings
         self._previous_snapshot = snapshot
         self._previous_signature = signature

@@ -20,11 +20,8 @@ Subcommands:
 * ``lookup``     — longest-prefix-match query against a ``.sparch``
   archive (``mmap`` attach) or a CSV export (streamed).
 * ``serve``      — stand up the JSON HTTP lookup endpoint over a CSV
-  export, or ``--archive`` for a zero-copy ``mmap`` attach;
-  ``--workers N`` scales it to a multi-process SO_REUSEPORT fleet
-  (``--status-port`` places the fleet's control-plane endpoints).
-* ``status``     — fetch and render a serving endpoint's ``/v1/status``
-  (fleet or single worker view).
+  export, or ``--archive`` for a zero-copy ``mmap`` attach.
+* ``status``     — fetch and render a serving endpoint's ``/v1/status``.
 * ``watch``      — the streaming ingestion daemon: tail a directory of
   snapshot files, roll each new snapshot through the incremental
   pipeline, append the generation to a ``.sparch`` archive, and
@@ -253,24 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serving worker processes; N > 1 runs the SO_REUSEPORT "
-        "fleet (--archive sources only), 1 serves "
-        "in-process",
-    )
-    serve.add_argument(
-        "--status-port",
-        type=int,
-        default=0,
-        metavar="PORT",
-        help="fleet control-plane port for the fleet-wide /v1/status and "
-        "/v1/metrics endpoints (0 = pick a free port; single-worker "
-        "serving exposes them on the main port instead)",
-    )
 
     watch = sub.add_parser(
         "watch", help="stream snapshots from a directory into an archive"
@@ -347,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "url",
-        help="base URL of a serving or fleet-control endpoint, e.g. "
+        help="base URL of a `serve` or `watch --port` endpoint, e.g. "
         "http://127.0.0.1:8080 (the /v1/status path is appended if "
         "missing)",
     )
@@ -746,21 +725,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
 
     try:
         if args.archive:
             service = SiblingQueryService.from_archive(args.archive)
         else:
-            if args.workers > 1:
-                print(
-                    "error: --workers > 1 needs a reloadable --archive "
-                    "source; write one with `repro detect --archive` first",
-                    file=sys.stderr,
-                )
-                return 2
             with open(args.list_file) as stream:
                 # Honor the export's own snapshot date when recorded.
                 date = publish.header_snapshot_date(stream.readline())
@@ -784,8 +753,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers > 1:
-        return _serve_fleet(args)
     try:
         serve_forever(service, args.host, args.port)
     except OSError as exc:
@@ -795,53 +762,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    return 0
-
-
-def _serve_fleet(args: argparse.Namespace) -> int:
-    """The ``serve --workers N`` body: run a SO_REUSEPORT worker fleet.
-
-    The source file was already opened once by :func:`_cmd_serve` for
-    validation; here each worker re-attaches it independently.
-    """
-    import threading
-
-    from repro.serving.fleet import FleetError, ServiceSource, ServingFleet
-
-    fleet = ServingFleet(
-        ServiceSource(args.archive),
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        quiet=False,
-        control_port=args.status_port,
-    )
-    try:
-        fleet.start()
-    except OSError as exc:
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    except FleetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        print(
-            f"serving sibling lookups on http://{args.host}:{fleet.port}/v1/ "
-            f"with {args.workers} workers"
-        )
-        if fleet.control_url:
-            print(
-                f"fleet status/metrics on {fleet.control_url}/v1/status "
-                f"and {fleet.control_url}/v1/metrics"
-            )
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        print("\nshutting down fleet")
-    finally:
-        fleet.stop()
     return 0
 
 
@@ -945,7 +865,7 @@ def _cmd_archive(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    """Fetch ``/v1/status`` and render a fleet or worker view."""
+    """Fetch ``/v1/status`` and render the worker view plus extras."""
     import json
     import urllib.error
     import urllib.request
@@ -962,59 +882,42 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if "workers" in payload:
-        uptime = payload.get("uptime_seconds")
-        kernel = payload.get("kernel")
+    worker = payload.get("worker", {})
+    service = payload.get("service", {})
+    print(
+        f"worker pid={worker.get('pid')} "
+        f"generation={worker.get('generation')} "
+        f"uptime={worker.get('uptime_seconds', 0.0):.1f}s"
+    )
+    for key in (
+        "generation",
+        "swaps",
+        "queries",
+        "kernel",
+        "generation_age_seconds",
+    ):
+        if key in service:
+            print(f"  {key}: {_status_value(service[key])}")
+    cache = service.get("cache")
+    if cache:
         print(
-            f"fleet {payload.get('host')}:{payload.get('port')}  "
-            f"generation={payload.get('generation')}  "
-            f"restarts={payload.get('restarts')}  "
-            f"swap_lag={payload.get('swap_lag')}"
-            + (f"  kernel={kernel}" if kernel is not None else "")
-            + (f"  uptime={uptime:.1f}s" if uptime is not None else "")
+            f"  cache: size={cache.get('size')} hits={cache.get('hits')} "
+            f"misses={cache.get('misses')}"
         )
-        print(
-            f"{'slot':>4} {'alive':>5} {'pid':>8} {'generation':>10} "
-            f"{'lag':>4} {'restarts':>8} {'queries':>8} {'snapshot':>12}"
-        )
-        for row in payload["workers"]:
-            print(
-                f"{row.get('slot', '?'):>4} "
-                f"{str(bool(row.get('alive'))):>5} "
-                f"{row.get('pid', '-'):>8} "
-                f"{row.get('generation', '-'):>10} "
-                f"{row.get('lag', '-'):>4} "
-                f"{row.get('restarts', 0):>8} "
-                f"{row.get('queries', '-'):>8} "
-                f"{row.get('snapshot', '-'):>12}"
-            )
-    else:
-        worker = payload.get("worker", {})
-        service = payload.get("service", {})
-        print(
-            f"worker pid={worker.get('pid')} "
-            f"generation={worker.get('generation')} "
-            f"uptime={worker.get('uptime_seconds', 0.0):.1f}s"
-        )
-        for key in (
-            "generation",
-            "swaps",
-            "queries",
-            "kernel",
-            "generation_age_seconds",
-        ):
-            if key in service:
-                value = service[key]
-                if isinstance(value, float):
-                    value = round(value, 3)
-                print(f"  {key}: {value}")
-        cache = service.get("cache")
-        if cache:
-            print(
-                f"  cache: size={cache.get('size')} hits={cache.get('hits')} "
-                f"misses={cache.get('misses')}"
-            )
+    # The server's status_extras, e.g. the `repro watch` loop state.
+    for name, extra in payload.items():
+        if name in ("worker", "service"):
+            continue
+        print(f"{name}:")
+        items = extra.items() if isinstance(extra, dict) else [("value", extra)]
+        for key, value in items:
+            print(f"  {key}: {_status_value(value)}")
     return 0
+
+
+def _status_value(value):
+    """*value* as ``repro status`` prints it: floats to 3 places."""
+    return round(value, 3) if isinstance(value, float) else value
 
 
 def main(argv: Sequence[str] | None = None) -> int:

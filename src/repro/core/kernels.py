@@ -658,8 +658,8 @@ def set_kernel(name: str | None) -> str:
     """Select the active kernel; returns the *previous* kernel's name.
 
     ``None``/empty re-runs automatic selection.  The choice is also
-    exported as ``REPRO_KERNEL`` so worker processes spawned after this
-    call (serving fleets) re-select the same kernel; raises
+    exported as ``REPRO_KERNEL`` so child processes spawned after this
+    call re-select the same kernel; raises
     :class:`KernelUnavailableError` for an impossible request, leaving
     the active kernel and environment untouched.
     """

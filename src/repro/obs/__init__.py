@@ -1,35 +1,30 @@
-"""Fleet-wide telemetry: metrics registry, stage tracing, exposition.
+"""Telemetry: metrics registry, stage tracing, exposition.
 
 The observability substrate every other subsystem reports into:
 
 * :mod:`repro.obs.metrics` — a process-local, dependency-free
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
   fixed-bucket histograms.  Lock-cheap on hot paths, snapshot-able to a
-  plain dict, mergeable across processes, and renderable as Prometheus
-  text or JSON.
+  plain dict, and renderable as Prometheus text or JSON.
 * :mod:`repro.obs.tracing` — lightweight stage spans
   (``with trace("step3.accumulate"):``) recording wall/CPU time and
   item counts into the registry; the per-stage timing tables behind
   ``repro detect --stats``.
 
 Detection Steps 1-3, the incremental delta path, the ``.sparch``
-archive, the query service, and the serving fleet are all wired
-through this package; the fleet supervisor merges per-worker registry
-snapshots into the ``/v1/status`` + ``/v1/metrics`` HTTP surface (see
-``docs/OBSERVABILITY.md`` for the metric catalog and aggregation
-semantics).
+archive and the query service are all wired through this package; the
+HTTP server renders the registry on ``/v1/metrics`` (see
+``docs/OBSERVABILITY.md`` for the metric catalog).
 """
 
 from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
-    merge_snapshots,
     render_prometheus,
 )
 from repro.obs.tracing import (
     get_registry,
     record_stage,
-    reset_registry,
     set_enabled,
     set_registry,
     stage_table,
@@ -41,10 +36,8 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "get_registry",
-    "merge_snapshots",
     "record_stage",
     "render_prometheus",
-    "reset_registry",
     "set_enabled",
     "set_registry",
     "stage_table",

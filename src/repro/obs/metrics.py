@@ -1,4 +1,4 @@
-"""Process-local metrics registry with cross-process merge and exposition.
+"""Process-local metrics registry with exposition.
 
 Design constraints, in order:
 
@@ -8,16 +8,10 @@ Design constraints, in order:
   "atomic" here is spelled as an uncontended ``threading.Lock`` held
   for a single addition, never across I/O or allocation-heavy work.
 * **Snapshot-able to a plain dict.**  :meth:`MetricsRegistry.snapshot`
-  returns pure builtins (picklable across the fleet's control pipes,
-  JSON-serialisable as-is) and is internally consistent per metric:
-  every histogram's bucket counts, sum, and observation count are read
-  under that metric's lock, so a scrape racing a swap storm never sees
-  a torn histogram.
-* **Mergeable across processes.**  :func:`merge_snapshots` folds
-  per-worker snapshots into one fleet view — counters and histograms
-  add (associative and commutative, so fold order never matters),
-  gauges take the **max** (the fleet view of "current generation" is
-  the newest worker; see ``docs/OBSERVABILITY.md``).
+  returns pure builtins (JSON-serialisable as-is) and is internally
+  consistent per metric: every histogram's bucket counts, sum, and
+  observation count are read under that metric's lock, so a scrape
+  racing a swap storm never sees a torn histogram.
 * **Exposition is pure.**  :func:`render_prometheus` and
   :func:`render_json` are functions of a snapshot dict — no registry
   lock is ever held while bytes hit a socket.
@@ -30,9 +24,8 @@ Design constraints, in order:
 >>> snap = registry.snapshot()
 >>> snap["counters"]["serve.lookups"]
 3
->>> merged = merge_snapshots([snap, snap])
->>> merged["counters"]["serve.lookups"], merged["gauges"]["serve.generation"]
-(6, 7.0)
+>>> snap["gauges"]["serve.generation"]
+7.0
 >>> print(render_prometheus(snap).splitlines()[1])
 repro_serve_lookups_total 3
 """
@@ -45,7 +38,6 @@ __all__ = [
     "DEFAULT_COUNT_BUCKETS",
     "MetricsError",
     "MetricsRegistry",
-    "merge_snapshots",
     "render_json",
     "render_prometheus",
 ]
@@ -233,7 +225,7 @@ class MetricsRegistry:
 
         *bounds* defaults to :data:`DEFAULT_SECONDS_BUCKETS`;
         re-registering an existing key with different bounds raises
-        :class:`MetricsError` (merges would be meaningless).
+        :class:`MetricsError` (one key, one bucket layout).
         """
         key = _metric_key(name, labels)
         wanted = tuple(
@@ -266,48 +258,6 @@ class MetricsRegistry:
                 for key, metric in sorted(self._histograms.items())
             },
         }
-
-
-def merge_snapshots(snapshots) -> dict:
-    """Fold snapshot dicts into one: counters/histograms add, gauges max.
-
-    Addition is associative and commutative, so per-worker snapshots
-    can arrive and fold in any order.  Histograms with differing bucket
-    bounds under the same key are a programming error and raise.
-    """
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
-        for key, value in snapshot.get("gauges", {}).items():
-            gauges[key] = max(gauges[key], value) if key in gauges else value
-        for key, state in snapshot.get("histograms", {}).items():
-            merged = histograms.get(key)
-            if merged is None:
-                histograms[key] = {
-                    "bounds": list(state["bounds"]),
-                    "counts": list(state["counts"]),
-                    "sum": state["sum"],
-                    "count": state["count"],
-                }
-                continue
-            if merged["bounds"] != list(state["bounds"]):
-                raise MetricsError(
-                    f"cannot merge histogram {key!r}: bounds differ "
-                    f"({merged['bounds']} vs {state['bounds']})"
-                )
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], state["counts"])
-            ]
-            merged["sum"] += state["sum"]
-            merged["count"] += state["count"]
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-    }
 
 
 # -- exposition --------------------------------------------------------------

@@ -14,10 +14,8 @@ stays under the <3% overhead budget enforced by
 ``benchmarks/bench_obs_overhead.py``.
 
 The module-global default registry is what ``detect --stats`` and the
-serving workers snapshot; :func:`set_enabled` turns every span into a
-no-op for overhead A/B measurement, and :func:`reset_registry` gives
-forked fleet workers a clean slate so supervisor-side detection
-metrics are never double-counted in fleet merges.
+HTTP server snapshot; :func:`set_enabled` turns every span into a
+no-op for overhead A/B measurement.
 """
 
 import threading
@@ -28,7 +26,6 @@ from repro.obs.metrics import MetricsRegistry, split_key
 __all__ = [
     "get_registry",
     "record_stage",
-    "reset_registry",
     "set_enabled",
     "set_registry",
     "stage_rows",
@@ -53,13 +50,6 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     with _state_lock:
         previous, _registry = _registry, registry
     return previous
-
-
-def reset_registry() -> MetricsRegistry:
-    """Install (and return) a fresh empty process-wide registry."""
-    return_value = MetricsRegistry()
-    set_registry(return_value)
-    return return_value
 
 
 def set_enabled(enabled: bool) -> bool:

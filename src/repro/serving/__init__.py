@@ -14,10 +14,6 @@ can *query at interactive rates*:
 * :mod:`repro.serving.http` — the JSON endpoint on one asyncio loop
   (``/v1/lookup``, ``/v1/batch``, ``/v1/snapshot``) behind
   ``python -m repro serve``.
-* :mod:`repro.serving.fleet` — :class:`ServingFleet`, the
-  multi-process scale-out tier: N ``SO_REUSEPORT`` worker processes
-  mmap-attached to one ``.sparch`` archive, with supervised restarts
-  and fleet-wide atomic generation swaps (``repro serve --workers N``).
 
 See ``docs/SERVING.md`` for the index layout and the HTTP surface; an
 index persists as a generation of the ``.sparch`` archive
@@ -28,23 +24,10 @@ from repro.serving.cache import LruCache
 from repro.serving.index import LookupResult, SiblingLookupIndex
 from repro.serving.service import QueryError, SiblingQueryService
 
-
-def __getattr__(name: str):
-    # The fleet brings asyncio and multiprocessing; a process that only
-    # detects (and imports serving.index) never loads them.
-    if name in ("FleetError", "ServiceSource", "ServingFleet"):
-        from repro.serving import fleet
-
-        return getattr(fleet, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "FleetError",
     "LookupResult",
     "LruCache",
     "QueryError",
-    "ServiceSource",
-    "ServingFleet",
     "SiblingLookupIndex",
     "SiblingQueryService",
 ]

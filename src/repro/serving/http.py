@@ -21,11 +21,7 @@ Endpoints (JSON unless noted; anything else is a 404):
 
 Lookups and batches write the service's cached answer bytes.  Telemetry
 renders from a registry snapshot, so no lock is held while a response
-is written (``tests/test_serving_stress.py``).  :class:`StatusHTTPServer`
-is the fleet supervisor's control plane on its own port (the
-SO_REUSEPORT data port is kernel-balanced, so no worker can answer for
-the fleet); its providers block on worker pipes and run in the loop's
-executor.
+is written (``tests/test_serving_stress.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from http import HTTPStatus
 from urllib.parse import parse_qs
 
 from repro.obs.metrics import render_prometheus
-from repro.obs.tracing import get_registry
 from repro.serving.service import QueryError, SiblingQueryService
 
 #: Largest accepted request body, a denial-of-accident guard.
@@ -72,12 +67,10 @@ class HTTPProtocol(asyncio.Protocol):
     """One connection: HTTP/1.1 framing around ``server.respond``.
 
     ``respond(method, target, body)`` returns ``(status, body,
-    content_type)`` or a future of one; while a future is pending the
-    connection stops reading, so pipelined requests are answered in
-    order.
+    content_type)``; pipelined requests are answered in order.
     """
 
-    def __init__(self, server: "ManagedHTTPServer"):
+    def __init__(self, server: "SiblingHTTPServer"):
         self.server = server
         self.transport = None
         self.buffer = bytearray()
@@ -110,7 +103,7 @@ class HTTPProtocol(asyncio.Protocol):
 
     def _drain(self) -> None:
         """Answer every complete request in the buffer, in order."""
-        while self.buffer and self.transport.is_reading():
+        while self.buffer and not self.transport.is_closing():
             try:
                 request = self._next_request()
             except HTTPError as exc:
@@ -120,18 +113,7 @@ class HTTPProtocol(asyncio.Protocol):
             if request is None:
                 return
             method, target, body, close = request
-            reply = self.server.respond(method, target, body)
-            if isinstance(reply, tuple):
-                self._send(*reply, close=close)
-            else:
-                self.transport.pause_reading()
-                reply.add_done_callback(lambda done: self._resume(done, close))
-
-    def _resume(self, done, close: bool) -> None:
-        if not self.transport.is_closing():
-            self._send(*done.result(), close=close)
-            self.transport.resume_reading()
-            self._drain()
+            self._send(*self.server.respond(method, target, body), close=close)
 
     def _next_request(self):
         """Pop ``(method, target, body, close)`` off the buffer, or
@@ -195,33 +177,35 @@ class HTTPProtocol(asyncio.Protocol):
             print(f"{peer[0]} {status} {body[:200].decode()}", file=sys.stderr)
 
 
-class ManagedHTTPServer:
-    """A bound listening socket served by one asyncio loop thread.
+class SiblingHTTPServer:
+    """A bound listening socket serving one query service from one
+    asyncio loop thread.
 
     The constructor binds (``port=0`` picks a free port;
     ``server_address`` tells which).  :meth:`start` runs the loop in a
     daemon thread and returns ``self``; :meth:`close` stops the loop,
     joins the thread and releases the socket.  Used as a context
-    manager the server closes on exit.  Subclasses implement
-    ``respond(method, target, body)`` as :class:`HTTPProtocol` calls it.
+    manager the server closes on exit.
     """
 
-    #: Thread-name prefix for the serve thread.
-    thread_prefix = "managed-http"
-
-    def __init__(self, address, quiet: bool = True, reuse_port: bool = False,
-                 registry=None):
+    def __init__(self, address, service: SiblingQueryService, quiet: bool = True):
+        self.service = service
         #: ``False`` logs every 4xx/5xx answer to stderr.
         self.quiet = quiet
-        self.socket = socket.create_server(address, reuse_port=reuse_port)
+        self.started_at = time.monotonic()
+        #: name → zero-arg callable; each is invoked per ``/v1/status``
+        #: request and its JSON-able result merged in as a top-level key
+        #: (the seam ``repro watch`` uses to surface its loop state).
+        self.status_extras: dict = {}
+        self.socket = socket.create_server(address)
         self.server_address = self.socket.getsockname()
         #: Transports of the open (not shed) connections.
         self.connections: set = set()
-        self.shed = (registry or get_registry()).counter("serve.shed_connections")
+        self.shed = service.registry.counter("serve.shed_connections")
         self._stopped: asyncio.Future | None = None
         self._serve_thread: threading.Thread | None = None
 
-    def start(self) -> "ManagedHTTPServer":
+    def start(self) -> "SiblingHTTPServer":
         """Serve in a background thread; returns ``self`` for chaining."""
         if self._serve_thread is not None and self._serve_thread.is_alive():
             raise RuntimeError("server already started")
@@ -229,7 +213,7 @@ class ManagedHTTPServer:
         self._stopped = loop.create_future()
         # Daemon: an embedder that exits without close() must not hang
         # the interpreter on a live accept loop.
-        name = f"{self.thread_prefix}-{self.server_address[1]}"
+        name = f"sibling-http-{self.server_address[1]}"
         self._serve_thread = threading.Thread(
             target=self._run, args=(loop,), name=name, daemon=True
         )
@@ -274,25 +258,6 @@ class ManagedHTTPServer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class SiblingHTTPServer(ManagedHTTPServer):
-    """The data-plane server: owns the query service reference."""
-
-    thread_prefix = "sibling-http"
-
-    def __init__(self, address, service: SiblingQueryService, quiet: bool = True,
-                 reuse_port: bool = False):
-        self.service = service
-        self.started_at = time.monotonic()
-        #: Extra identity keys (e.g. the fleet worker slot) merged into
-        #: this server's ``/v1/status`` worker view.
-        self.worker_info: dict = {}
-        #: name → zero-arg callable; each is invoked per ``/v1/status``
-        #: request and its JSON-able result merged in as a top-level key
-        #: (the seam ``repro watch`` uses to surface its loop state).
-        self.status_extras: dict = {}
-        super().__init__(address, quiet, reuse_port, service.registry)
-
     def respond(self, method: str, target: str, body: bytes) -> tuple:
         """Route one request; QueryError → 400, unknown routes → 404."""
         path, _, query = target.partition("?")
@@ -318,13 +283,12 @@ class SiblingHTTPServer(ManagedHTTPServer):
         return 404, _error(f"unknown path {path!r}"), JSON
 
     def _status_payload(self) -> dict:
-        """One worker's ``/v1/status`` view (``fleet`` is the
-        supervisor's business — ``None`` here)."""
+        """The ``/v1/status`` view: this process, its service, extras."""
         service = self.service
         uptime = time.monotonic() - self.started_at
         worker = {"pid": os.getpid(), "uptime_seconds": uptime,
-                  "generation": service.generation, **self.worker_info}
-        payload = {"fleet": None, "worker": worker, "service": service.status()}
+                  "generation": service.generation}
+        payload = {"worker": worker, "service": service.status()}
         for name, provider in self.status_extras.items():
             payload[name] = provider()
         return payload
@@ -343,37 +307,6 @@ def _batch_queries(body: bytes) -> list:
     if not isinstance(queries, list):
         raise QueryError('body must be {"queries": [...]}')
     return queries
-
-
-class StatusHTTPServer(ManagedHTTPServer):
-    """Control-plane server: fleet-wide ``/v1/status`` + ``/v1/metrics``.
-
-    *status_provider* returns the JSON-able status dict,
-    *metrics_provider* rendered Prometheus text.  Both run per request,
-    so a scrape reflects the fleet now, not the monitor's last poll.
-    """
-
-    thread_prefix = "status-http"
-
-    def __init__(self, address, status_provider, metrics_provider, quiet: bool = True):
-        self.status_provider = status_provider
-        self.metrics_provider = metrics_provider
-        super().__init__(address, quiet)
-
-    def respond(self, method: str, target: str, body: bytes):
-        """Run the provider of a known path in the loop's executor."""
-        path = target.partition("?")[0]
-        if method != "GET" or path not in ("/v1/status", "/v1/metrics"):
-            return 404, _error(f"unknown path {path!r}"), JSON
-        return asyncio.get_running_loop().run_in_executor(None, self._provide, path)
-
-    def _provide(self, path: str) -> tuple:
-        try:
-            if path == "/v1/status":
-                return 200, json.dumps(self.status_provider()).encode(), JSON
-            return 200, self.metrics_provider().encode(), TEXT
-        except Exception as exc:  # supervisor races (stopping fleet, dead pipe)
-            return 503, _error(str(exc)), JSON
 
 
 def make_server(service: SiblingQueryService, host: str = "127.0.0.1",

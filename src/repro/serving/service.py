@@ -275,9 +275,9 @@ class SiblingQueryService:
     def observe_gauges(self) -> None:
         """Refresh the service gauges in the registry.
 
-        Gauges are sampled, not event-driven — callers (the ``/v1/
-        status`` and ``/v1/metrics`` handlers, the fleet ``metrics``
-        op) refresh them right before snapshotting the registry.
+        Gauges are sampled, not event-driven — callers (the
+        ``/v1/metrics`` handler) refresh them right before snapshotting
+        the registry.
         """
         self._registry.gauge("serve.generation").set(self._generation)
         self._registry.gauge("serve.generation_age_seconds").set(
@@ -311,7 +311,7 @@ class SiblingQueryService:
         ``/v1/status``.
 
         Adds ``kernel``: the process-active Step 3-4 batch-op kernel
-        (:func:`repro.core.kernels.kernel_name`), so a fleet silently
+        (:func:`repro.core.kernels.kernel_name`), so a server silently
         running the pure-python fallback is visible at a glance.
         """
         info = self.snapshot_info()

@@ -190,8 +190,8 @@ def append_index(
     """Append *index* as a new archive generation at *path*; returns gid.
 
     Creates the archive if missing.  This is the minimal publisher a
-    serving fleet needs: commit a new compiled generation (footer
-    protocol makes it atomic for readers), then have every worker
+    server needs: commit a new compiled generation (footer protocol
+    makes it atomic for readers), then
     :meth:`~repro.serving.service.SiblingQueryService.swap_from_archive`.
     Full detection runs archive richer generations (sibling lists,
     substrate state) via :mod:`repro.analysis.pipeline`.

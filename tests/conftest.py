@@ -19,11 +19,11 @@ from repro.synth import build_universe
 
 
 def pytest_configure(config):
-    """Register the telemetry marker used by the CI fleet-stress job."""
+    """Register the telemetry marker used by the CI serving-stress job."""
     config.addinivalue_line(
         "markers",
         "obs: observability/telemetry suites (metrics registry, tracing, "
-        "status endpoints) — selected by the blocking CI fleet-stress job",
+        "status endpoints) — selected by the blocking CI serving-stress job",
     )
 
 try:

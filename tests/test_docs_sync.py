@@ -42,51 +42,14 @@ PERF_RESULT_FILES = (
     "step3_kernels.txt",
     "incremental_series.txt",
     "archive_coldstart.txt",
-    "serving_fleet.txt",
     "obs_overhead.txt",
     "watch_replay.txt",
     "scenario_grid.txt",
 )
 
 
-def _loadgen_options():
-    """Long options of the ``benchmarks/loadgen.py`` entry point.
-
-    Loaded by file path so the contract holds regardless of pytest's
-    working directory (the benchmarks package is not on ``sys.path``
-    under every invocation).
-    """
-    import importlib.machinery
-    import importlib.util
-    import sys
-
-    loader = importlib.machinery.SourceFileLoader(
-        "_docs_sync_loadgen", str(REPO / "benchmarks" / "loadgen.py")
-    )
-    spec = importlib.util.spec_from_loader(loader.name, loader)
-    module = importlib.util.module_from_spec(spec)
-    # Registered so the module's dataclasses can resolve their own
-    # (string) annotations during class creation.
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.modules.pop(spec.name, None)
-    return [
-        option
-        for action in module._build_parser()._actions
-        for option in action.option_strings
-        if option.startswith("--")
-    ]
-
-
 def _subcommands():
-    """{command: [long option strings]} for every documented parser.
-
-    The ``repro`` subcommands come from the real argparse tree; the
-    ``loadgen`` benchmark entry point is folded in as a pseudo-command
-    so its documented options are held to the same two-way contract.
-    """
+    """{command: [long option strings]} from the real argparse tree."""
     parser = _build_parser()
     subparsers = next(
         action
@@ -101,7 +64,6 @@ def _subcommands():
                 if option.startswith("--"):
                     options.append(option)
         table[name] = options
-    table["loadgen"] = _loadgen_options()
     return table
 
 
@@ -175,10 +137,9 @@ OBSERVABILITY = REPO / "docs" / "OBSERVABILITY.md"
 SRC = REPO / "src" / "repro"
 
 #: Literal metric registrations — ``registry.counter("name")`` and
-#: friends — plus the supervisor-injected ``fleet.*`` gauges, which are
-#: written as plain snapshot-dict keys (``gauges["fleet.workers"]``).
+#: friends.
 _METRIC_LITERAL = re.compile(
-    r'(?:\.(?:counter|gauge|histogram)\(|gauges\[)\s*\n?\s*"([a-z0-9_.]+)"'
+    r'\.(?:counter|gauge|histogram)\(\s*\n?\s*"([a-z0-9_.]+)"'
 )
 
 #: Literal stage names: ``trace("stage")`` spans and

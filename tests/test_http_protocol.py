@@ -1,16 +1,16 @@
 """The hand-written HTTP/1.1 framing of ``serving/http.py``.
 
 Most tests feed :class:`HTTPProtocol` bytes directly through a fake
-transport, with no socket and no event loop: the data-plane handlers
-are synchronous, so every response is written before ``data_received``
+transport, with no socket and no event loop: the handlers are
+synchronous, so every response is written before ``data_received``
 returns.  The properties check that framing does not depend on how
 the stream is chunked, that malformed input is rejected with a 4xx
 and a close rather than a hang or an exception, and that the cached
 batch bytes equal ``json.dumps`` of the decoded rows.  The socket
 tests pin the regressions and the behaviours ``BaseHTTPRequestHandler``
 used to provide: ``Expect: 100-continue``, ``Connection: close``,
-HTTP/1.0, percent-encoded queries, keep-alive latency on the control
-server, and load shedding.
+HTTP/1.0, percent-encoded queries, keep-alive latency, and load
+shedding.
 """
 
 import datetime
@@ -29,7 +29,7 @@ from repro.nettypes.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry
 from repro.publish import PublishedPair
 from repro.serving import http
-from repro.serving.http import HTTPProtocol, StatusHTTPServer, make_server
+from repro.serving.http import HTTPProtocol, make_server
 from repro.serving.index import SiblingLookupIndex
 from repro.serving.service import QueryError, SiblingQueryService
 
@@ -70,7 +70,6 @@ class FakeTransport:
     def __init__(self):
         self.written = bytearray()
         self.closed = False
-        self.paused = False
 
     def write(self, data):
         assert not self.closed, "write after close"
@@ -84,17 +83,8 @@ class FakeTransport:
     def is_closing(self):
         return self.closed
 
-    def is_reading(self):
-        return not (self.paused or self.closed)
-
     def get_extra_info(self, name, default=None):
         return FakeSocket() if name == "socket" else default
-
-    def pause_reading(self):
-        self.paused = True
-
-    def resume_reading(self):
-        self.paused = False
 
 
 def _connect(server):
@@ -338,11 +328,9 @@ def test_get_with_body_keeps_pipelined_framing():
     assert json.loads(responses[1][2])["found"] is True
 
 
-def test_control_server_keepalive_requests_do_not_stall():
+def test_keepalive_requests_do_not_stall():
     """Ten keep-alive ``/v1/status`` requests: no Nagle/delayed-ACK wait."""
-    with StatusHTTPServer(
-        ("127.0.0.1", 0), lambda: {"fleet": "ok"}, lambda: "up 1\n"
-    ) as server:
+    with make_server(_service(), port=0) as server:
         server.start()
         connection = HTTPConnection(*server.server_address, timeout=5)
         try:
@@ -351,29 +339,12 @@ def test_control_server_keepalive_requests_do_not_stall():
                 began = time.perf_counter()
                 connection.request("GET", "/v1/status")
                 response = connection.getresponse()
-                assert json.loads(response.read()) == {"fleet": "ok"}
+                assert response.status == 200
+                assert json.loads(response.read())["worker"]["pid"] > 0
                 durations.append(time.perf_counter() - began)
         finally:
             connection.close()
     assert statistics.median(durations) < 0.010, durations
-
-
-def test_control_server_maps_provider_failure_to_503():
-    def broken():
-        raise RuntimeError("fleet stopping")
-
-    with StatusHTTPServer(("127.0.0.1", 0), broken, lambda: "") as server:
-        server.start()
-        connection = HTTPConnection(*server.server_address, timeout=5)
-        try:
-            connection.request("GET", "/v1/status")
-            response = connection.getresponse()
-            assert response.status == 503
-            assert json.loads(response.read()) == {"error": "fleet stopping"}
-            connection.request("GET", "/v1/metrics")
-            assert connection.getresponse().read() == b""
-        finally:
-            connection.close()
 
 
 def test_connections_over_the_cap_are_shed(monkeypatch):

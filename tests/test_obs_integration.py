@@ -1,16 +1,13 @@
-"""End-to-end telemetry: pipeline spans, endpoints, fleet merge, CLI.
+"""End-to-end telemetry: pipeline spans, endpoints, CLI.
 
 The unit contracts live in ``test_obs_metrics.py``; this suite proves
-the wiring — detection Steps 1–4 record into the process registry, a
-serving worker exposes ``/v1/status`` + ``/v1/metrics``, the fleet
-supervisor merges per-worker registries over the control protocol and
-serves the merged view on its control port, and the ``repro status`` /
-``detect --stats`` CLI surfaces render it all.
+the wiring — detection Steps 1–4 record into the process registry, the
+HTTP server exposes ``/v1/status`` + ``/v1/metrics``, and the ``repro
+status`` / ``detect --stats`` CLI surfaces render it all.
 """
 
 import datetime
 import json
-import socket
 import urllib.request
 
 import pytest
@@ -33,14 +30,8 @@ from repro.publish import PublishedPair
 from repro.serving.http import make_server
 from repro.serving.index import SiblingLookupIndex
 from repro.serving.service import SiblingQueryService
-from repro.storage.index_io import append_index
 
 pytestmark = pytest.mark.obs
-
-needs_reuseport = pytest.mark.skipif(
-    not hasattr(socket, "SO_REUSEPORT"),
-    reason="serving fleet requires SO_REUSEPORT",
-)
 
 
 @pytest.fixture
@@ -165,7 +156,7 @@ def test_worker_status_and_metrics_endpoints():
         status_code, content_type, body = _fetch(base + "/v1/status")
         assert status_code == 200 and content_type.startswith("application/json")
         payload = json.loads(body)
-        assert payload["fleet"] is None
+        assert set(payload) == {"worker", "service"}
         assert payload["worker"]["pid"] > 0
         assert payload["worker"]["uptime_seconds"] >= 0.0
         assert payload["service"]["generation"] == service.generation
@@ -196,94 +187,29 @@ def test_service_metrics_count_hits_misses_and_errors():
     assert snap["gauges"]["serve.generation"] == float(service.generation)
 
 
-# -- fleet aggregation -------------------------------------------------------
-
-
-@needs_reuseport
-def test_fleet_merges_worker_registries(tmp_path):
-    from repro.serving.fleet import ServiceSource, ServingFleet
-
-    archive = tmp_path / "obs.sparch"
-    append_index(archive, _demo_index(0))
-    lookups = 10
-    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
-        fleet.start()
-        for _ in range(lookups):
-            _fetch(fleet.url + "/v1/lookup?ip=192.0.2.7")
-
-        data = fleet.metrics()
-        merged = data["merged"]
-        assert merged["counters"]["serve.lookups"] == lookups
-        assert merged["gauges"]["fleet.workers"] == 2.0
-        assert merged["gauges"]["fleet.workers_alive"] == 2.0
-        assert merged["gauges"]["fleet.restarts"] == 0.0
-        assert merged["gauges"]["fleet.swap_lag"] == 0.0
-        # Worker snapshots individually sum to the merged counter.
-        assert sum(
-            entry["metrics"]["counters"].get("serve.lookups", 0)
-            for entry in data["workers"]
-        ) == lookups
-
-        status_code, _, body = _fetch(fleet.control_url + "/v1/status")
-        assert status_code == 200
-        status = json.loads(body)
-        assert status["generation"] >= 1
-        assert status["swap_lag"] == 0
-        for row in status["workers"]:
-            assert row["alive"] is True
-            assert row["restarts"] == 0
-            assert row["lag"] == 0
-
-        status_code, content_type, text = _fetch(
-            fleet.control_url + "/v1/metrics"
-        )
-        assert status_code == 200 and content_type.startswith("text/plain")
-        assert f"repro_serve_lookups_total {lookups}" in text.splitlines()
-        assert "repro_fleet_workers 2" in text.splitlines()
-
-
-@needs_reuseport
-def test_fleet_status_tracks_generation_after_swap(tmp_path):
-    from repro.serving.fleet import ServiceSource, ServingFleet
-
-    archive = tmp_path / "swap.sparch"
-    append_index(archive, _demo_index(0))
-    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
-        fleet.start()
-        append_index(archive, _demo_index(1))
-        acks = fleet.broadcast_swap()
-        assert len(acks) == 2
-        status = fleet.status()
-        assert status["generation"] == 2  # initial attach + one swap
-        assert status["swap_lag"] == 0
-        merged = fleet.metrics()["merged"]
-        assert merged["counters"]["serve.swaps"] == 2  # one per worker
-        assert merged["gauges"]["fleet.generation"] == 2.0
-
-
 # -- status CLI --------------------------------------------------------------
 
 
-@needs_reuseport
-def test_status_cli_fleet_and_worker_views(tmp_path, capsys):
+def test_status_cli_worker_view(capsys):
     from repro.cli import main
-    from repro.serving.fleet import ServiceSource, ServingFleet
 
-    archive = tmp_path / "cli.sparch"
-    append_index(archive, _demo_index(0))
-    with ServingFleet(ServiceSource(archive), workers=2) as fleet:
-        fleet.start()
-        assert main(["status", fleet.control_url]) == 0
-        out = capsys.readouterr().out
-        assert "fleet" in out and "slot" in out and "restarts" in out
+    service = SiblingQueryService(_demo_index(), registry=MetricsRegistry())
+    with make_server(service, port=0) as server:
+        server.status_extras["watch"] = lambda: {"backlog": 0, "lag": 0.12345}
+        server.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
 
-        assert main(["status", fleet.control_url, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["workers"]) == 2
-
-        assert main(["status", fleet.url]) == 0
+        assert main(["status", base]) == 0
         out = capsys.readouterr().out
         assert out.startswith("worker pid=")
+        assert f"generation={service.generation}" in out
+        assert "watch:\n  backlog: 0\n  lag: 0.123\n" in out
+
+        assert main(["status", base + "/v1/status", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"worker", "service", "watch"}
+        assert payload["watch"] == {"backlog": 0, "lag": 0.12345}
 
 
 def test_status_cli_unreachable_is_exit_2(capsys):

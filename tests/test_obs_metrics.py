@@ -1,11 +1,9 @@
-"""Unit + property tests of the telemetry registry (``repro.obs``).
+"""Unit tests of the telemetry registry (``repro.obs``).
 
-Covers the contracts the fleet relies on:
+Covers the contracts the HTTP server and ``--stats`` rely on:
 
 * canonical metric identity — label order never matters, values are
   escaped, ``split_key`` inverts ``name{k="v"}``;
-* merge algebra — counters/histograms add (associative, commutative),
-  gauges take the max, mismatched histogram bounds refuse to merge;
 * thread-safety — concurrent increments are never lost, and a snapshot
   taken mid-storm is internally consistent per metric (a histogram's
   ``count`` always equals the sum of its bucket counts);
@@ -16,13 +14,11 @@ Covers the contracts the fleet relies on:
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     MetricsError,
     MetricsRegistry,
-    merge_snapshots,
     render_json,
     render_prometheus,
     split_key,
@@ -98,77 +94,6 @@ def test_histogram_le_semantics():
     assert histogram.state()["counts"] == [2, 2, 1]
 
 
-# -- merge algebra -----------------------------------------------------------
-
-_BOUNDS = [1.0, 2.0, 4.0]
-
-
-def _snapshots():
-    """Small random snapshots sharing one histogram bounds vector.
-
-    Integer-valued sums/gauges keep float addition exact, so the
-    associativity property is a strict ``==``, not an approximation.
-    """
-    names = st.sampled_from(["a.one", "a.two", "b.three"])
-    counts = st.lists(
-        st.integers(min_value=0, max_value=50), min_size=4, max_size=4
-    )
-    histogram = counts.map(
-        lambda c: {
-            "bounds": list(_BOUNDS),
-            "counts": c,
-            "sum": float(sum(c)),
-            "count": sum(c),
-        }
-    )
-    return st.fixed_dictionaries(
-        {
-            "counters": st.dictionaries(
-                names, st.integers(min_value=0, max_value=10**6), max_size=3
-            ),
-            "gauges": st.dictionaries(
-                names,
-                st.integers(min_value=-100, max_value=100).map(float),
-                max_size=3,
-            ),
-            "histograms": st.dictionaries(names, histogram, max_size=3),
-        }
-    )
-
-
-@given(_snapshots(), _snapshots(), _snapshots())
-def test_merge_is_associative(a, b, c):
-    left = merge_snapshots([merge_snapshots([a, b]), c])
-    right = merge_snapshots([a, merge_snapshots([b, c])])
-    assert left == right == merge_snapshots([a, b, c])
-
-
-@given(_snapshots(), _snapshots())
-def test_merge_is_commutative(a, b):
-    assert merge_snapshots([a, b]) == merge_snapshots([b, a])
-
-
-@given(_snapshots())
-def test_merge_identity(a):
-    empty = {"counters": {}, "gauges": {}, "histograms": {}}
-    assert merge_snapshots([a, empty]) == merge_snapshots([a])
-
-
-def test_merge_semantics_explicit():
-    a = {"counters": {"c": 2}, "gauges": {"g": 5.0}, "histograms": {}}
-    b = {"counters": {"c": 3}, "gauges": {"g": 2.0}, "histograms": {}}
-    merged = merge_snapshots([a, b])
-    assert merged["counters"]["c"] == 5  # counters add
-    assert merged["gauges"]["g"] == 5.0  # gauges take the max
-
-
-def test_merge_rejects_mismatched_bounds():
-    a = {"histograms": {"h": {"bounds": [1.0], "counts": [0, 1], "sum": 2.0, "count": 1}}}
-    b = {"histograms": {"h": {"bounds": [2.0], "counts": [1, 0], "sum": 1.0, "count": 1}}}
-    with pytest.raises(MetricsError):
-        merge_snapshots([a, b])
-
-
 # -- thread-safety -----------------------------------------------------------
 
 
@@ -230,14 +155,14 @@ def test_snapshot_never_tears_under_mutation():
 def test_prometheus_rendering():
     registry = MetricsRegistry()
     registry.counter("serve.lookups").inc(7)
-    registry.gauge("fleet.workers").set(2)
+    registry.gauge("serve.generation").set(2)
     registry.histogram("serve.lookup_seconds", bounds=(0.1, 1.0)).observe(0.05)
     registry.histogram("serve.lookup_seconds", bounds=(0.1, 1.0)).observe(5.0)
     text = render_prometheus(registry.snapshot())
     lines = text.splitlines()
     assert "# TYPE repro_serve_lookups_total counter" in lines
     assert "repro_serve_lookups_total 7" in lines
-    assert "repro_fleet_workers 2" in lines
+    assert "repro_serve_generation 2" in lines
     assert 'repro_serve_lookup_seconds_bucket{le="0.1"} 1' in lines
     assert 'repro_serve_lookup_seconds_bucket{le="1"} 1' in lines
     assert 'repro_serve_lookup_seconds_bucket{le="+Inf"} 2' in lines

@@ -530,7 +530,7 @@ class TestHttp:
 
 
 class TestServerLifecycle:
-    """The start()/close() API added for embedders (fleet, tests)."""
+    """The start()/close() API for embedders (``repro watch``, tests)."""
 
     def _service(self):
         _, pairs = random_scenario(5, n_pairs=3)

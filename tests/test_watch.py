@@ -12,7 +12,7 @@ The SIGKILL-replay stress at the bottom runs the watcher in a child
 process and murders it on a schedule of delays — after every kill the
 archive must recover to a committed prefix of the expected series, and
 a final clean run must converge to the full series.  It rides in the
-blocking fleet-stress CI job next to the fleet supervisor tests.
+blocking serving-stress CI job next to the HTTP parser properties.
 """
 
 import datetime
@@ -25,6 +25,8 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from test_incremental_pipeline import (
     BASE_DATE,
@@ -161,6 +163,107 @@ class TestSnapshotFileCodec:
         bad.write_text(json.dumps({"format_version": 1, "date": "2024-09-01"}))
         with pytest.raises(WatchError, match="malformed"):
             read_snapshot_file(bad)
+        for domain in (None, "", 7, ["x.example"]):
+            bad.write_text(json.dumps({
+                "format_version": 1, "date": "2024-09-01",
+                "observations": [{"domain": domain, "v4": ["192.0.2.9"]}],
+            }))
+            with pytest.raises(WatchError, match="bad domain"):
+                read_snapshot_file(bad)
+
+
+def _json_values():
+    """Any JSON document, shallow enough to write quickly."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False)
+        | st.text(max_size=12)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+def _snapshot_shaped():
+    """Snapshot-like documents: the right keys, any values under them."""
+    anything = _json_values()
+    # Mostly valid, so the parser often gets as far as the domains.
+    v4 = st.lists(st.sampled_from(["192.0.2.9"] * 9 + ["2001:db8::9", "1.2.3"]))
+    v6 = st.lists(st.sampled_from(["2001:db8::9"] * 9 + ["192.0.2.9", ""]))
+    observation = st.fixed_dictionaries(
+        {"domain": st.sampled_from([None, "", "x.example"]) | anything},
+        optional={"v4": v4 | anything, "v6": v6 | anything},
+    )
+    return st.fixed_dictionaries(
+        {
+            "format_version": st.sampled_from([1] * 9 + [2, "1", None]),
+            "date": st.sampled_from(
+                ["2024-09-01"] * 9 + ["2024-13-01", "", 20240901]
+            ),
+            "observations": st.lists(observation, max_size=4) | anything,
+        }
+    )
+
+
+class TestSnapshotFileFuzz:
+    """Whatever bytes a snapshot file holds, :func:`read_snapshot_file`
+    returns a snapshot of non-empty string domains or raises
+    :class:`WatchError` — never another exception."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("snapshot-fuzz")
+        valid = write_snapshot_file(_series()[1], directory).read_bytes()
+        return valid, directory / "2024-09-01.json"
+
+    @staticmethod
+    def _parse_or_reject(path):
+        try:
+            snapshot = read_snapshot_file(path)
+        except WatchError:
+            return None
+        for observation in snapshot.observations():
+            assert isinstance(observation.domain, str) and observation.domain
+        return snapshot
+
+    @given(document=_json_values() | _snapshot_shaped())
+    def test_any_json_value_is_parsed_or_rejected(self, original, document):
+        _, path = original
+        path.write_text(json.dumps(document))
+        snapshot = self._parse_or_reject(path)
+        if snapshot is not None:
+            # Accepted: every domain was a non-empty string, kept verbatim.
+            domains = [entry["domain"] for entry in document["observations"]]
+            assert all(isinstance(domain, str) and domain for domain in domains)
+            assert {o.domain for o in snapshot.observations()} == set(domains)
+
+    @given(data=st.data())
+    def test_damaged_bytes_are_parsed_or_rejected(self, original, data):
+        valid, path = original
+        damaged = bytearray(valid)
+        if data.draw(st.booleans()):
+            del damaged[data.draw(st.integers(0, len(valid) - 1)):]
+        else:
+            for _ in range(data.draw(st.integers(1, 4))):
+                at = data.draw(st.integers(0, len(valid) - 1))
+                damaged[at] ^= 1 << data.draw(st.integers(0, 7))
+        path.write_bytes(bytes(damaged))
+        self._parse_or_reject(path)
+
+    @pytest.mark.parametrize("rows, domain_size", [(50_000, 9), (1, 4_000_000)])
+    def test_oversized_files_are_parsed_or_rejected(self, original, rows, domain_size):
+        _, path = original
+        observation = {"domain": "x" * domain_size, "v4": ["192.0.2.9"]}
+        path.write_text(json.dumps({
+            "format_version": 1, "date": "2024-09-01",
+            "observations": [observation] * rows,
+        }))
+        self._parse_or_reject(path)
 
 
 class TestDirectorySource:
