@@ -43,18 +43,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.kernels import (
-    KernelUnavailableError,
-    available_kernel_names,
-    set_kernel,
-)
 from repro.core.sptuner import SpTunerMS, TunerConfig
 from repro.core.substrate import DEFAULT_SUBSTRATE, SUBSTRATES
 from repro.dates import REFERENCE_DATE
 
 
 def _add_substrate_options(command: argparse.ArgumentParser) -> None:
-    """The shared Step 3-4 engine flags (``--substrate``, ``--kernel``)."""
+    """The shared Step 3-4 engine flags (``--substrate``, ``--stats``)."""
     command.add_argument(
         "--substrate",
         choices=sorted(SUBSTRATES),
@@ -63,18 +58,10 @@ def _add_substrate_options(command: argparse.ArgumentParser) -> None:
         "reference: the paper-literal dict-of-sets path)",
     )
     command.add_argument(
-        "--kernel",
-        choices=("numpy", "python"),
-        default=None,
-        help="Step 3-4 batch-op kernel (numpy: vectorized over the CSR "
-        "buffers; python: bit-identical stdlib fallback); default "
-        "follows REPRO_KERNEL, else numpy when importable",
-    )
-    command.add_argument(
         "--stats",
         action="store_true",
         help="after the run, print the per-stage wall/CPU timing table "
-        "(Steps 1-4, kernel-labeled) to stderr",
+        "(Steps 1-4) to stderr",
     )
 
 
@@ -893,7 +880,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         "generation",
         "swaps",
         "queries",
-        "kernel",
         "generation_age_seconds",
     ):
         if key in service:
@@ -922,16 +908,6 @@ def _status_value(value):
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "kernel", None):
-        try:
-            set_kernel(args.kernel)
-        except KernelUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(
-                f"available kernels: {', '.join(available_kernel_names())}",
-                file=sys.stderr,
-            )
-            return 2
     if args.command == "detect":
         return _cmd_detect(args)
     if args.command == "detect-series":

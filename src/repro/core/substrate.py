@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import abc
 from array import array
+from collections import Counter
 from typing import ClassVar, Iterable, NamedTuple
 
 from repro.core.detection import (
@@ -50,7 +51,7 @@ from repro.core.detection import (
     select_best_matches,
 )
 from repro.core.domainsets import PrefixDomainIndex
-from repro.core.kernels import PairCounts, get_kernel, kernel_name
+from repro.core.kernels import accumulate_rowlists, patch_counts, select_scored
 from repro.core.siblings import SiblingPair, SiblingSet
 from repro.nettypes.prefix import Prefix
 from repro.obs.tracing import trace
@@ -208,13 +209,12 @@ class _ColumnarState:
             )
         #: Tombstoned dom positions available for reuse by delta adds.
         self.free_positions: list[int] = []
-        #: Persistent Step-3 counter (:class:`~repro.core.kernels.
-        #: PairCounts`, backend per active kernel).  ``None`` until the
-        #: first full accumulation; afterwards kept current by delta
-        #: retract/add (:meth:`ColumnarSubstrate._patch_state`) so
-        #: repeated selects and incremental runs never re-accumulate
-        #: unchanged domains.
-        self.counts: PairCounts | None = None
+        #: Persistent Step-3 counter of shared domains per packed pair
+        #: key.  ``None`` until the first full accumulation; afterwards
+        #: kept current by delta retract/add
+        #: (:meth:`ColumnarSubstrate._patch_state`) so repeated selects
+        #: and incremental runs never re-accumulate unchanged domains.
+        self.counts: Counter | None = None
 
         # Per-prefix domain posting lists in CSR layout: sorted global
         # domain ids, one flat array + offsets per family.
@@ -293,19 +293,6 @@ def _build_csr(
         data.extend(sorted(map(intern_domain, domains)))
         offsets.append(len(data))
     return data, offsets
-
-
-def accumulate_rowlists(dom_bases, dom_rows) -> PairCounts:
-    """Step-3 accumulation over aligned (bases, rows) membership lists.
-
-    The accumulation entry, shared by the full
-    :meth:`ColumnarSubstrate.pair_counts` pass and the delta retract/add
-    passes (which feed it only the touched domains' rows).  Executes on
-    the active kernel (:func:`repro.core.kernels.get_kernel`) —
-    vectorized numpy batch ops when available, the bit-identical
-    stdlib ``Counter`` loop otherwise.
-    """
-    return get_kernel().accumulate_rowlists(dom_bases, dom_rows)
 
 
 class _ColumnarCacheEntry:
@@ -595,7 +582,8 @@ class ColumnarSubstrate(Substrate):
         counts = state.counts
         if counts is None:
             return
-        counts.patch(
+        patch_counts(
+            counts,
             accumulate_rowlists(retract_bases, retract_rows)
             if retract_bases
             else None,
@@ -605,12 +593,10 @@ class ColumnarSubstrate(Substrate):
     # -- Steps 3-4 -----------------------------------------------------------
 
     @staticmethod
-    def pair_counts(state: _ColumnarState) -> PairCounts:
+    def pair_counts(state: _ColumnarState) -> Counter:
         """Step 3: shared-domain counts per packed ``(v4 << 32) | v6`` key.
 
-        One flat pass over the per-domain membership rows, executed on
-        the active kernel (vectorized numpy expansion + unique, or the
-        stdlib Counter loop).
+        One flat pass over the per-domain membership rows.
         """
         return accumulate_rowlists(state.dom_bases, state.dom_rows)
 
@@ -631,22 +617,19 @@ class ColumnarSubstrate(Substrate):
         state = self.prepare(index)
         counts = state.counts
         if counts is None:
-            with trace("step3.accumulate", kernel=kernel_name()) as span:
+            with trace("step3.accumulate") as span:
                 counts = self.pair_counts(state)
                 span.add_items(len(counts))
             state.counts = counts
-        with trace("step4.select", kernel=kernel_name()) as step4:
+        with trace("step4.select") as step4:
             v4_sizes = state.v4_sizes
             v6_sizes = state.v6_sizes
 
-            # The scoring + best-match fold runs on the active kernel
-            # (vectorized metric columns and np.maximum.at bests, or
-            # the scalar two-pass loop); the mode predicate is
-            # specialized here once.
+            # The mode predicate is specialized here once.
             want_v4 = mode in (BestMatchMode.EITHER, BestMatchMode.BOTH, BestMatchMode.V4_ONLY)
             want_v6 = mode in (BestMatchMode.EITHER, BestMatchMode.BOTH, BestMatchMode.V6_ONLY)
             need_both = mode is BestMatchMode.BOTH
-            kept_keys, kept_values, scored = get_kernel().select_scored(
+            kept_keys, kept_values, scored = select_scored(
                 counts,
                 v4_sizes,
                 v6_sizes,

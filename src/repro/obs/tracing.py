@@ -6,8 +6,7 @@
   :meth:`~trace.add_items` or the ``items=`` argument), and
 * ``stage.wall_seconds`` / ``stage.cpu_seconds`` histograms,
 
-all labelled ``stage="step3.accumulate"`` (plus any extra labels, e.g.
-``kernel="numpy"`` for kernel-labeled Step 3-4 timings).  A span costs
+all labelled ``stage="step3.accumulate"``.  A span costs
 two clock reads on entry and two on exit — instrumentation lives at
 stage granularity, never per item, which is how the Step-3 hot path
 stays under the <3% overhead budget enforced by
@@ -71,7 +70,6 @@ def record_stage(
     cpu_seconds: float,
     items: "int | None" = None,
     registry: "MetricsRegistry | None" = None,
-    **labels,
 ) -> None:
     """Record one stage execution measured elsewhere.
 
@@ -81,15 +79,11 @@ def record_stage(
     if not _enabled:
         return
     target = registry if registry is not None else _registry
-    target.counter("stage.calls", stage=stage, **labels).inc()
+    target.counter("stage.calls", stage=stage).inc()
     if items is not None:
-        target.counter("stage.items", stage=stage, **labels).inc(items)
-    target.histogram("stage.wall_seconds", stage=stage, **labels).observe(
-        wall_seconds
-    )
-    target.histogram("stage.cpu_seconds", stage=stage, **labels).observe(
-        cpu_seconds
-    )
+        target.counter("stage.items", stage=stage).inc(items)
+    target.histogram("stage.wall_seconds", stage=stage).observe(wall_seconds)
+    target.histogram("stage.cpu_seconds", stage=stage).observe(cpu_seconds)
 
 
 class trace:
@@ -103,17 +97,15 @@ class trace:
     42
     """
 
-    __slots__ = ("stage", "labels", "registry", "items", "_wall0", "_cpu0", "_active")
+    __slots__ = ("stage", "registry", "items", "_wall0", "_cpu0", "_active")
 
     def __init__(
         self,
         stage: str,
         items: "int | None" = None,
         registry: "MetricsRegistry | None" = None,
-        **labels,
     ):
         self.stage = stage
-        self.labels = labels
         self.registry = registry
         self.items = items
         self._active = False
@@ -138,7 +130,6 @@ class trace:
                 time.process_time() - self._cpu0,
                 items=self.items,
                 registry=self.registry,
-                **self.labels,
             )
 
 
@@ -149,18 +140,14 @@ def stage_rows(snapshot: dict) -> list:
     """Per-stage rows from a snapshot, in snapshot (sorted-key) order.
 
     Each row: ``{"stage", "calls", "items", "wall_seconds",
-    "cpu_seconds"}`` where the stage field carries extra labels as a
-    ``[key=value]`` suffix (``step4.select [kernel=numpy]``).
+    "cpu_seconds"}``.
     """
     rows: dict = {}
     for key, count in snapshot.get("counters", {}).items():
         name, labels = split_key(key)
         if name not in ("stage.calls", "stage.items"):
             continue
-        stage = labels.pop("stage", "?")
-        if labels:
-            extras = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-            stage = f"{stage} [{extras}]"
+        stage = labels.get("stage", "?")
         row = rows.setdefault(
             stage,
             {
@@ -176,11 +163,7 @@ def stage_rows(snapshot: dict) -> list:
         name, labels = split_key(key)
         if name not in ("stage.wall_seconds", "stage.cpu_seconds"):
             continue
-        stage = labels.pop("stage", "?")
-        if labels:
-            extras = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-            stage = f"{stage} [{extras}]"
-        row = rows.get(stage)
+        row = rows.get(labels.get("stage", "?"))
         if row is None:
             continue
         field = "wall_seconds" if name == "stage.wall_seconds" else "cpu_seconds"

@@ -288,7 +288,7 @@ class SiblingHTTPServer:
         uptime = time.monotonic() - self.started_at
         worker = {"pid": os.getpid(), "uptime_seconds": uptime,
                   "generation": service.generation}
-        payload = {"worker": worker, "service": service.status()}
+        payload = {"worker": worker, "service": service.snapshot_info()}
         for name, provider in self.status_extras.items():
             payload[name] = provider()
         return payload

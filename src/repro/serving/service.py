@@ -32,7 +32,6 @@ import threading
 import time
 from typing import Iterable, Sequence
 
-from repro.core.kernels import kernel_name
 from repro.nettypes.prefix import PrefixError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.obs.tracing import get_registry
@@ -289,8 +288,9 @@ class SiblingQueryService:
         )
 
     def snapshot_info(self) -> dict:
-        """Current generation metadata + service counters
-        (the ``/v1/snapshot`` payload)."""
+        """Current generation metadata + service counters (the
+        ``/v1/snapshot`` payload and the ``service`` block of
+        ``/v1/status``)."""
         index = self._index
         info: dict = {
             "generation": self._generation,
@@ -304,18 +304,6 @@ class SiblingQueryService:
             info["index"] = None
         else:
             info["index"] = index.stats()
-        return info
-
-    def status(self) -> dict:
-        """:meth:`snapshot_info` plus engine facts — the service view of
-        ``/v1/status``.
-
-        Adds ``kernel``: the process-active Step 3-4 batch-op kernel
-        (:func:`repro.core.kernels.kernel_name`), so a server silently
-        running the pure-python fallback is visible at a glance.
-        """
-        info = self.snapshot_info()
-        info["kernel"] = kernel_name()
         return info
 
     def __repr__(self) -> str:

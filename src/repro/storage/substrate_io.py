@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import struct
 from array import array
+from collections import Counter
 from typing import Callable, Iterable
 
-from repro.core.kernels import get_kernel
+from repro.core.kernels import sorted_columns
 from repro.core.siblings import SiblingPair, SiblingSet
 from repro.core.substrate import _ColumnarState
 from repro.nettypes.prefix import Prefix
@@ -52,6 +53,8 @@ _V6_PREFIX = struct.Struct("<16sB")
 #: Tombstoned dom position marker in the ``state.dom_gids`` segment.
 _NO_DOMAIN = 0xFFFFFFFF
 
+_LOW32 = 0xFFFFFFFF
+
 #: Manifest meta kinds.
 SIBLINGS_KIND = "siblings"
 STATE_KIND = "state"
@@ -67,10 +70,46 @@ def _csr(lists: Iterable[Iterable[int]], typecode: str) -> tuple[bytes, bytes]:
     return data.tobytes(), offsets.tobytes()
 
 
+def _bytes(generation: Generation, name: str, typecode: str) -> memoryview:
+    """Segment *name*, checked to hold whole *typecode* items."""
+    raw = generation.segment(name)
+    itemsize = array(typecode).itemsize
+    if len(raw) % itemsize:
+        raise ArchiveFormatError(
+            f"segment {name!r} holds {len(raw)} bytes, not a multiple of "
+            f"its {itemsize}-byte items"
+        )
+    return raw
+
+
+def _view(generation: Generation, name: str, typecode: str) -> memoryview:
+    """Segment *name* as a zero-copy *typecode* view."""
+    return _bytes(generation, name, typecode).cast(typecode)
+
+
+def _column(generation: Generation, name: str, typecode: str) -> array:
+    """Segment *name* copied into an owned ``array(typecode)``."""
+    column = array(typecode)
+    column.frombytes(_bytes(generation, name, typecode))
+    return column
+
+
+def _check_offsets(offsets, data_length: int, name: str) -> None:
+    """CSR *offsets* must start at 0, never decrease, and end at the data."""
+    if (
+        not offsets
+        or offsets[0] != 0
+        or offsets[-1] != data_length
+        or list(offsets) != sorted(offsets)
+    ):
+        raise ArchiveFormatError(f"segment {name!r} holds malformed CSR offsets")
+
+
 def _csr_views(generation: Generation, name: str, typecode: str):
     """The (data, offsets) cast views of one CSR segment pair."""
-    data = generation.segment(f"{name}_data").cast(typecode)
-    offsets = generation.segment(f"{name}_offsets").cast("Q")
+    data = _view(generation, f"{name}_data", typecode)
+    offsets = _view(generation, f"{name}_offsets", "Q")
+    _check_offsets(offsets, len(data), f"{name}_offsets")
     return data, offsets
 
 
@@ -252,11 +291,9 @@ def state_segments(state: _ColumnarState) -> tuple[dict, dict]:
     )
     bases_data, bases_offsets = _csr(state.dom_bases, "Q")
     rows_data, rows_offsets = _csr(state.dom_rows, "I")
-    # The counter serializes through the kernel-neutral sorted-column
-    # wire format (PairCounts.sorted_columns: u64 keys / u32 counts),
-    # so archives written under one kernel restore under the other.
+    # The counter serializes as sorted columns: u64 keys, u32 counts.
     if state.counts is not None:
-        counts_keys, counts_vals = state.counts.sorted_columns()
+        counts_keys, counts_vals = sorted_columns(state.counts)
         counts_key_bytes = counts_keys.tobytes()
         counts_val_bytes = counts_vals.tobytes()
         pair_count = len(state.counts)
@@ -309,7 +346,10 @@ def restore_state(generation: Generation, pool_names: list[str]) -> _ColumnarSta
     The caller (:meth:`repro.core.substrate.ColumnarSubstrate.
     adopt_state`) is responsible for verifying the state belongs to the
     index it is attached to — this function only rebuilds the
-    in-memory representation.
+    in-memory representation.  Malformed segments — misaligned
+    lengths, broken CSR offsets, gids outside the pool, counter keys
+    out of order or outside the row tables, zero counts — raise
+    :class:`~repro.storage.format.ArchiveFormatError`.
     """
     meta = generation.meta[STATE_KIND]
     v4_rows = int(meta["v4_rows"])
@@ -340,45 +380,55 @@ def restore_state(generation: Generation, pool_names: list[str]) -> _ColumnarSta
     state.v6_row_of = {
         prefix: row for row, prefix in enumerate(state.v6_prefixes)
     }
-    state.v4_sizes = array("I")
-    state.v4_sizes.frombytes(bytes(generation.segment("state.v4_sizes")))
-    state.v6_sizes = array("I")
-    state.v6_sizes.frombytes(bytes(generation.segment("state.v6_sizes")))
+    state.v4_sizes = _column(generation, "state.v4_sizes", "I")
+    state.v6_sizes = _column(generation, "state.v6_sizes", "I")
+    if len(state.v4_sizes) != v4_rows or len(state.v6_sizes) != v6_rows:
+        raise ArchiveFormatError("size columns do not match the row tables")
 
-    state.v4_post_data = array("I")
-    state.v4_post_data.frombytes(bytes(generation.segment("state.v4_csr_data")))
-    state.v4_post_offsets = array("Q")
-    state.v4_post_offsets.frombytes(
-        bytes(generation.segment("state.v4_csr_offsets"))
-    )
-    state.v6_post_data = array("I")
-    state.v6_post_data.frombytes(bytes(generation.segment("state.v6_csr_data")))
-    state.v6_post_offsets = array("Q")
-    state.v6_post_offsets.frombytes(
-        bytes(generation.segment("state.v6_csr_offsets"))
-    )
+    for family in ("v4", "v6"):
+        data = _column(generation, f"state.{family}_csr_data", "I")
+        offsets = _column(generation, f"state.{family}_csr_offsets", "Q")
+        _check_offsets(offsets, len(data), f"state.{family}_csr_offsets")
+        setattr(state, f"{family}_post_data", data)
+        setattr(state, f"{family}_post_offsets", offsets)
 
     state.dom_bases = _csr_lists(generation, "state.dom_bases", "Q")
     state.dom_rows = _csr_lists(generation, "state.dom_rows", "I")
-    dom_gids = generation.segment("state.dom_gids").cast("I")
+    dom_gids = _view(generation, "state.dom_gids", "I")
     if len(dom_gids) != len(state.dom_bases):
         raise ArchiveFormatError("dom_gids/dom_bases length mismatch")
     state.dom_pos = {}
     state.free_positions = []
+    pool_size = len(pool_names)
     for position, gid in enumerate(dom_gids):
         if gid == _NO_DOMAIN:
             state.free_positions.append(position)
-        else:
+        elif gid < pool_size:
             state.dom_pos[pool_names[gid]] = position
+        else:
+            raise ArchiveFormatError(
+                f"dom_gids entry {gid} is outside the {pool_size}-name pool"
+            )
 
-    keys = generation.segment("state.counts_keys").cast("Q")
-    vals = generation.segment("state.counts_vals").cast("I")
+    keys = _view(generation, "state.counts_keys", "Q")
+    vals = _view(generation, "state.counts_vals", "I")
     if len(keys) != len(vals):
         raise ArchiveFormatError("counter keys/values length mismatch")
     if meta.get("has_counts", True):
-        # Rebuilt on the *restoring* process's active kernel — the
-        # sorted-column wire format is kernel-neutral.
-        state.counts = get_kernel().counts_from_columns(keys, vals)
+        previous = -1
+        for key, count in zip(keys, vals):
+            if (
+                key <= previous
+                or not count
+                or key >> 32 >= v4_rows
+                or key & _LOW32 >= v6_rows
+            ):
+                raise ArchiveFormatError(
+                    f"counter entry {key:#x}={count} is out of order, zero "
+                    "or outside the row tables"
+                )
+            previous = key
+        state.counts = Counter(dict(zip(keys, vals)))
     else:
         state.counts = None
     state._v4_gid_sets = {}

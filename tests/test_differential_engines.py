@@ -19,7 +19,6 @@ failure blobs printed for reproducibility).
 import dataclasses
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +26,6 @@ from conftest import as_mapping
 
 from repro.core.detection import BestMatchMode
 from repro.core.domainsets import PrefixDomainIndex, build_index
-from repro.core.kernels import available_kernel_names, use_kernel
 from repro.core.metrics import METRICS_FROM_COUNTS
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 from repro.dates import REFERENCE_DATE
@@ -85,55 +83,40 @@ def membership_indexes(draw):
 
 METRIC_NAMES = sorted(METRICS_FROM_COUNTS)
 
-#: The kernel axis of the differential grid: every engine property runs
-#: once per importable kernel, forced in-process via
-#: :class:`repro.core.kernels.use_kernel` (which also exports
-#: ``REPRO_KERNEL`` so child processes select the same kernel).
-#: On a numpy-free interpreter this is just ``["python"]`` and the
-#: numpy axis is covered by CI's differential job instead.
-KERNEL_NAMES = available_kernel_names()
-
 _as_mapping = as_mapping
 
 
 # ---------------------------------------------------------------------------
-# Step 3-4 engines and kernels agree
+# Step 3-4 engines agree
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @given(
     index=membership_indexes(),
     metric=st.sampled_from(METRIC_NAMES),
     mode=st.sampled_from(list(BestMatchMode)),
 )
 @settings(max_examples=10)
-def test_engines_identical_select(kernel, index, metric, mode):
-    """reference and columnar agree on the full result.
-
-    The kernel parameter runs the whole property once per importable
-    kernel — {reference, columnar} x {python, numpy} bit-identity.
-    """
-    with use_kernel(kernel):
-        reference = get_substrate("reference").select(index, metric=metric, mode=mode)
-        columnar = ColumnarSubstrate().select(index, metric=metric, mode=mode)
-        assert _as_mapping(reference) == _as_mapping(columnar)
+def test_engines_identical_select(index, metric, mode):
+    """reference and columnar agree on the full result."""
+    reference = get_substrate("reference").select(index, metric=metric, mode=mode)
+    columnar = ColumnarSubstrate().select(index, metric=metric, mode=mode)
+    assert _as_mapping(reference) == _as_mapping(columnar)
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @given(
     seed=st.integers(min_value=0, max_value=2**20),
     hgcdn_scale=st.sampled_from((0.004, 0.02)),
     split_hosting=st.sampled_from((0.22, 0.4)),
 )
 @settings(max_examples=4)
-def test_scenario_grid_differential(kernel, seed, hgcdn_scale, split_hosting):
+def test_scenario_grid_differential(seed, hgcdn_scale, split_hosting):
     """Full-pipeline agreement on randomly seeded scenario-grid configs.
 
     Universes built from randomized :mod:`repro.synth.scenarios`
     variants exercise realistic structure (hypergiants, shared hosting,
     ties) that the direct membership strategy cannot: both engines
-    must agree on the complete sibling set, under either kernel.
+    must agree on the complete sibling set.
     """
     config = dataclasses.replace(
         SCENARIOS["tiny"],
@@ -147,50 +130,10 @@ def test_scenario_grid_differential(kernel, seed, hgcdn_scale, split_hosting):
         universe.snapshot_at(REFERENCE_DATE),
         universe.annotator_at(REFERENCE_DATE),
     )
-    with use_kernel(kernel):
-        reference = get_substrate("reference").select(index)
-        columnar = ColumnarSubstrate().select(index)
+    reference = get_substrate("reference").select(index)
+    columnar = ColumnarSubstrate().select(index)
     assert len(reference) > 0
     assert _as_mapping(reference) == _as_mapping(columnar)
-
-
-@pytest.mark.skipif(
-    len(KERNEL_NAMES) < 2, reason="numpy not importable: single-kernel build"
-)
-@given(
-    index=membership_indexes(),
-    metric=st.sampled_from(METRIC_NAMES),
-    mode=st.sampled_from(list(BestMatchMode)),
-)
-@settings(max_examples=15)
-def test_kernels_bit_identical_select(index, metric, mode):
-    """python and numpy kernels agree to the last float bit and in order.
-
-    Stronger than mapping agreement: the pair sequence, every
-    similarity's exact bit pattern (``float.hex``), the shared-domain
-    sets, and the family domain counts must match — the kernels are
-    interchangeable, not merely approximately equal.
-    """
-    outputs = []
-    for kernel in KERNEL_NAMES:
-        with use_kernel(kernel):
-            siblings = ColumnarSubstrate().select(index, metric=metric, mode=mode)
-        outputs.append(
-            [
-                (
-                    pair.v4_prefix,
-                    pair.v6_prefix,
-                    pair.similarity.hex(),
-                    pair.shared_domains,
-                    pair.v4_domain_count,
-                    pair.v6_domain_count,
-                )
-                for pair in siblings
-            ]
-        )
-    first = outputs[0]
-    for other in outputs[1:]:
-        assert other == first
 
 
 # ---------------------------------------------------------------------------

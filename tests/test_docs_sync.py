@@ -39,7 +39,6 @@ RESULTS_DIR = REPO / "benchmarks" / "results"
 #: reproductions under results/ are experiment outputs, not perf runs).
 PERF_RESULT_FILES = (
     "serving.txt",
-    "step3_kernels.txt",
     "incremental_series.txt",
     "archive_coldstart.txt",
     "obs_overhead.txt",

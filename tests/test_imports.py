@@ -1,7 +1,10 @@
 """Every module must import cleanly and carry a docstring."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,14 @@ def test_version_exposed():
     import repro
 
     assert repro.__version__
+
+
+def test_program_imports_leave_numpy_out():
+    """A fresh ``repro`` process imports no numpy: Steps 3-4 are stdlib."""
+    workloads = pytest.importorskip("perfbench.workloads")
+    code = (
+        f"import sys, {workloads.PROGRAM_MODULES}\n"
+        "assert 'numpy' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -26,14 +26,7 @@ from conftest import as_mapping
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.core.domainsets import build_index
-from repro.core.kernels import available_kernel_names, use_kernel
 from repro.core.substrate import ColumnarSubstrate, get_substrate
-
-# The delta patch path runs on whichever kernel is active, so the
-# incremental==full properties carry a kernel axis: the sorted-array
-# merge-subtract/add (numpy) and the Counter retract loop (python) must
-# both keep the persistent Step-3 counter bit-exact.
-KERNEL_NAMES = available_kernel_names()
 from repro.dns.openintel import DnsSnapshot, DomainObservation
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
@@ -148,14 +141,11 @@ def run_both(tables, engine_factory):
     return dates, full, incremental
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @given(tables=churn_series())
 @settings(max_examples=25)
-def test_incremental_equals_full_columnar(kernel, tables):
-    """Columnar engine: per-date bit-identical output under churn, on
-    every kernel's delta merge."""
-    with use_kernel(kernel):
-        dates, full, incremental = run_both(tables, ColumnarSubstrate)
+def test_incremental_equals_full_columnar(tables):
+    """Columnar engine: per-date bit-identical output under churn."""
+    dates, full, incremental = run_both(tables, ColumnarSubstrate)
     assert [d for d, _ in incremental] == dates
     for (_, siblings_full), (_, siblings_incremental) in zip(full, incremental):
         assert as_mapping(siblings_full) == as_mapping(siblings_incremental)
@@ -198,10 +188,9 @@ def _two_date_tables():
     ]
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
-def test_counter_is_patched_in_place_and_exact(kernel):
-    """The persistent counter is patched bit-exactly by the active
-    kernel's retract/add merge — including the retraction-to-zero path:
+def test_counter_is_patched_in_place_and_exact():
+    """The persistent counter is patched bit-exactly by the retract/add
+    merge — including the retraction-to-zero path:
     c.example disappears, so its (pool 2, pool 2) pair count falls to
     exactly zero and the key must be *eliminated*, not left at zero."""
     tables = _two_date_tables()
@@ -217,44 +206,41 @@ def test_counter_is_patched_in_place_and_exact(kernel):
             for key, count in counts.items()
         }
 
-    with use_kernel(kernel):
-        engine = ColumnarSubstrate()
-        index = build_index(s0, annotator)
-        first = engine.select(index)
-        state_before = engine.prepare(index)
-        assert state_before.counts is not None  # persisted by select
-        # The pair that will be retracted to zero is present on date 0.
-        assert (
-            in_prefix_space(state_before, state_before.counts)[
-                (V4_POOL[2], V6_POOL[2])
-            ]
-            == 1
-        )
-        index.apply_delta(s0.delta_to(s1), annotator)
-        second = engine.select(index)
-        state_after = engine.prepare(index)
-        # Same state object — patched, not rebuilt — and the patched
-        # counter equals a from-scratch accumulation on a rebuilt state,
-        # compared in prefix space (row numbering may legitimately
-        # differ).
-        assert state_after is state_before
-        fresh_engine = ColumnarSubstrate()
-        fresh_state = fresh_engine.prepare(build_index(s1, make_annotator()))
-        fresh_counts = ColumnarSubstrate.pair_counts(fresh_state)
-        patched = in_prefix_space(state_after, state_after.counts)
-        assert patched == in_prefix_space(fresh_state, fresh_counts)
-        # Retraction-to-zero: the disappeared domain's pair is gone from
-        # the counter entirely (mapping and sorted columns agree).
-        assert (V4_POOL[2], V6_POOL[2]) not in patched
-        assert len(state_after.counts) == len(
-            state_after.counts.sorted_columns()[0]
-        )
-        # And the selected outputs match the oracle on both dates.
-        reference = get_substrate("reference")
-        assert as_mapping(first) == as_mapping(
-            reference.select(build_index(s0, make_annotator()))
-        )
-        assert as_mapping(second) == as_mapping(reference.select(index))
+    engine = ColumnarSubstrate()
+    index = build_index(s0, annotator)
+    first = engine.select(index)
+    state_before = engine.prepare(index)
+    assert state_before.counts is not None  # persisted by select
+    # The pair that will be retracted to zero is present on date 0.
+    assert (
+        in_prefix_space(state_before, state_before.counts)[
+            (V4_POOL[2], V6_POOL[2])
+        ]
+        == 1
+    )
+    index.apply_delta(s0.delta_to(s1), annotator)
+    second = engine.select(index)
+    state_after = engine.prepare(index)
+    # Same state object — patched, not rebuilt — and the patched
+    # counter equals a from-scratch accumulation on a rebuilt state,
+    # compared in prefix space (row numbering may legitimately
+    # differ).
+    assert state_after is state_before
+    fresh_engine = ColumnarSubstrate()
+    fresh_state = fresh_engine.prepare(build_index(s1, make_annotator()))
+    fresh_counts = ColumnarSubstrate.pair_counts(fresh_state)
+    patched = in_prefix_space(state_after, state_after.counts)
+    assert patched == in_prefix_space(fresh_state, fresh_counts)
+    # Retraction-to-zero: the disappeared domain's pair is gone from
+    # the counter entirely, and no key is left at a zero count.
+    assert (V4_POOL[2], V6_POOL[2]) not in patched
+    assert 0 not in state_after.counts.values()
+    # And the selected outputs match the oracle on both dates.
+    reference = get_substrate("reference")
+    assert as_mapping(first) == as_mapping(
+        reference.select(build_index(s0, make_annotator()))
+    )
+    assert as_mapping(second) == as_mapping(reference.select(index))
 
 
 def test_stale_cache_regression_count_preserving_mutation():
@@ -356,35 +342,20 @@ def test_serve_series_skips_recompile_for_unchanged_dates():
 
 
 def test_cli_detect_series_incremental_byte_identical(tmp_path):
-    """``detect-series --incremental`` produces byte-identical CSV under
-    *each* kernel — and the bytes also agree *across* kernels, so the
-    incremental path (including retraction-to-zero churn inside the
-    series) cannot drift with the backend."""
+    """``detect-series --incremental`` produces byte-identical CSV, so
+    the incremental path (including retraction-to-zero churn inside the
+    series) cannot drift from the full one."""
     from repro.cli import main
 
-    outputs = {}
-    for kernel in KERNEL_NAMES:
-        full_path = tmp_path / f"full-{kernel}.csv"
-        incremental_path = tmp_path / f"incremental-{kernel}.csv"
-        with use_kernel(kernel):
-            assert main(
-                [
-                    "detect-series", "--scenario", "tiny",
-                    "--offsets", "stability", "--format", "csv",
-                    "-o", str(full_path), "--kernel", kernel,
-                ]
-            ) == 0
-            assert main(
-                [
-                    "detect-series", "--scenario", "tiny",
-                    "--offsets", "stability", "--format", "csv",
-                    "-o", str(incremental_path), "--incremental",
-                    "--kernel", kernel,
-                ]
-            ) == 0
-        outputs[kernel] = full_path.read_bytes()
-        assert outputs[kernel] == incremental_path.read_bytes()
-    assert len(set(outputs.values())) == 1
+    full_path = tmp_path / "full.csv"
+    incremental_path = tmp_path / "incremental.csv"
+    argv = [
+        "detect-series", "--scenario", "tiny",
+        "--offsets", "stability", "--format", "csv",
+    ]
+    assert main([*argv, "-o", str(full_path)]) == 0
+    assert main([*argv, "-o", str(incremental_path), "--incremental"]) == 0
+    assert full_path.read_bytes() == incremental_path.read_bytes()
 
 
 if __name__ == "__main__":

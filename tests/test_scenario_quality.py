@@ -4,9 +4,8 @@ Every scripted event scenario (:data:`repro.synth.events.EVENT_SCENARIOS`)
 is driven through ``detect_series`` and scored *exactly* against the
 generator's ground-truth ledger.  The floors below are the contract a
 future PR must not silently degrade — the grid runs for both
-Step 3-4 engines under every importable kernel, and the suite is the
-blocking payload of the CI ``scenario-quality`` job (both the stock and
-``REPRO_KERNEL=python`` legs).
+Step 3-4 engines, and the suite is the blocking payload of the CI
+``scenario-quality`` job.
 
 Floor rationale: clean churn scenarios (rollout, renumber, rotation,
 orgchurn) are exactly detectable, so anything below ~perfect is a
@@ -22,11 +21,9 @@ from conftest import as_mapping
 
 from repro.analysis.pipeline import detect_series
 from repro.analysis.quality import score_series
-from repro.core.kernels import available_kernel_names, use_kernel
 from repro.synth.events import EVENT_SCENARIOS, build_event_universe
 
 ENGINES = ("reference", "columnar")
-KERNELS = available_kernel_names()
 
 #: scenario → (precision floor, recall floor, non-trap precision floor).
 FLOORS = {
@@ -52,23 +49,21 @@ def _score(name, substrate, incremental=True):
     return score_series(results, universe.ledger, scenario=name)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("substrate", ENGINES)
 @pytest.mark.parametrize("scenario", sorted(EVENT_SCENARIOS))
-def test_scenario_meets_floors(scenario, substrate, kernel):
+def test_scenario_meets_floors(scenario, substrate):
     precision_floor, recall_floor, non_trap_floor = FLOORS[scenario]
-    with use_kernel(kernel):
-        score = _score(scenario, substrate)
+    score = _score(scenario, substrate)
     assert score.precision >= precision_floor, (
-        f"{scenario}/{substrate}/{kernel}: precision "
+        f"{scenario}/{substrate}: precision "
         f"{score.precision:.3f} below floor {precision_floor}"
     )
     assert score.recall >= recall_floor, (
-        f"{scenario}/{substrate}/{kernel}: recall "
+        f"{scenario}/{substrate}: recall "
         f"{score.recall:.3f} below floor {recall_floor}"
     )
     assert score.non_trap_precision >= non_trap_floor, (
-        f"{scenario}/{substrate}/{kernel}: non-trap precision "
+        f"{scenario}/{substrate}: non-trap precision "
         f"{score.non_trap_precision:.3f} below floor {non_trap_floor}"
     )
 

@@ -19,6 +19,7 @@ Three invariant families:
   ``swap_from_archive`` answer exactly like the in-memory service.
 """
 
+import array
 import datetime
 import json
 import pathlib
@@ -55,6 +56,7 @@ from repro.storage.format import (
     crc32_view,
 )
 from repro.storage.index_io import append_index, load_mapped_index
+from repro.storage.substrate_io import STATE_KIND, restore_state
 
 SNAPSHOT = datetime.date(2024, 9, 11)
 
@@ -400,6 +402,90 @@ class TestArchivedSeries:
         )
         for (date, want), (_, got) in zip(plain, replayed):
             assert as_mapping(want) == as_mapping(got), date
+
+
+@pytest.fixture(scope="module")
+def archived_state(tiny_universe, tmp_path_factory):
+    """(pool names, segments, meta) of a real archived columnar state."""
+    path = tmp_path_factory.mktemp("state") / "state.sparch"
+    detect_series(
+        tiny_universe, TestArchivedSeries.DATES[:2],
+        substrate=ColumnarSubstrate(), incremental=True, archive=path,
+    )
+    with ArchiveReader.open(path) as reader:
+        generation = reader.latest(STATE_KIND)
+        segments = {
+            name: bytes(generation.segment(name))
+            for name in generation.segment_names()
+        }
+        return reader.pool_names(), segments, generation.meta
+
+
+def _set_u32(payload: bytes, position: int, value: int) -> bytes:
+    column = array.array("I", payload)
+    column[position] = value
+    return column.tobytes()
+
+
+def _set_u64(payload: bytes, position: int, value: int) -> bytes:
+    column = array.array("Q", payload)
+    column[position] = value
+    return column.tobytes()
+
+
+#: One crafted defect per case: (error match, segments/meta/pool size ->
+#: the segments it replaces).
+CRAFTED_STATES = {
+    "dom_gid_outside_pool": ("outside the .*pool", lambda seg, meta, pool: {
+        "state.dom_gids": _set_u32(seg["state.dom_gids"], 0, pool)
+    }),
+    "misaligned_counter_keys": ("not a multiple", lambda seg, meta, pool: {
+        "state.counts_keys": seg["state.counts_keys"] + b"\0"
+    }),
+    "misaligned_sizes": ("not a multiple", lambda seg, meta, pool: {
+        "state.v4_sizes": seg["state.v4_sizes"] + b"\0"
+    }),
+    "counter_keys_not_increasing": ("counter entry", lambda seg, meta, pool: {
+        "state.counts_keys": _set_u64(
+            seg["state.counts_keys"], 1, array.array("Q", seg["state.counts_keys"])[0]
+        )
+    }),
+    "zero_count": ("counter entry", lambda seg, meta, pool: {
+        "state.counts_vals": _set_u32(seg["state.counts_vals"], 0, 0)
+    }),
+    "v4_row_outside_table": ("counter entry", lambda seg, meta, pool: {
+        "state.counts_keys": _set_u64(
+            seg["state.counts_keys"], -1, meta[STATE_KIND]["v4_rows"] << 32
+        )
+    }),
+    "v6_row_outside_table": ("counter entry", lambda seg, meta, pool: {
+        "state.counts_keys": _set_u64(
+            seg["state.counts_keys"], -1,
+            ((meta[STATE_KIND]["v4_rows"] - 1) << 32) | meta[STATE_KIND]["v6_rows"],
+        )
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_STATES))
+def test_restore_state_rejects_crafted_state(archived_state, tmp_path, case):
+    """A state generation with valid CRCs but a crafted defect raises
+    ArchiveFormatError on restore — never another exception, never a
+    silently wrong counter."""
+    pool, segments, meta = archived_state
+    assert len(array.array("Q", segments["state.counts_keys"])) >= 2
+    match, craft = CRAFTED_STATES[case]
+    crafted = {**segments, **craft(segments, meta, len(pool))}
+    path = tmp_path / f"{case}.sparch"
+    with ArchiveWriter.open(path) as writer:
+        writer.append_pool(pool)
+        writer.append_generation(SNAPSHOT.isoformat(), crafted, meta)
+        writer.commit()
+    with ArchiveReader.open(path) as reader:
+        generation = reader.latest(STATE_KIND)
+        assert generation.segment_names() == sorted(crafted)  # CRCs hold
+        with pytest.raises(ArchiveFormatError, match=match):
+            restore_state(generation, reader.pool_names())
 
 
 class TestServiceIntegration:
