@@ -48,6 +48,8 @@ class Rib:
         self._mutations = 0
         self._signature: frozenset | None = None
         self._signature_mutations = -1
+        self._route_text: bytes | None = None
+        self._route_text_mutations = -1
 
     # -- mutation ---------------------------------------------------------------
 
@@ -100,6 +102,27 @@ class Rib:
             )
             self._signature_mutations = self._mutations
         return self._signature
+
+    def route_text(self) -> bytes:
+        """The canonical text of this RIB's contents, as ASCII bytes.
+
+        One ``prefix|origin,origin,...`` line per route (origins in
+        numeric order), each ending in ``\\n``, the lines sorted as
+        strings.  Equal :meth:`signature` values give equal texts; the
+        archive hashes this text as the routing table's identity.
+        Formatting every prefix is the expensive part, so the bytes are
+        cached and invalidated by announce/withdraw, like the signature.
+        """
+        if self._route_text is None or self._route_text_mutations != self._mutations:
+            # The newline sorts below every other character of a line, so
+            # sorting terminated lines orders them as the bare lines.
+            lines = sorted(
+                f"{route.prefix}|{','.join(map(str, sorted(route.origins)))}\n"
+                for route in self.routes()
+            )
+            self._route_text = "".join(lines).encode("ascii")
+            self._route_text_mutations = self._mutations
+        return self._route_text
 
     # -- queries ------------------------------------------------------------------
 

@@ -99,6 +99,21 @@ class PrefixAnnotator:
             self._missing_fraction,
         )
 
+    @property
+    def primary(self) -> Rib:
+        """The RIB consulted first (the DNS dataset's own annotations)."""
+        return self._primary
+
+    @property
+    def fallback(self) -> Rib:
+        """The RIB consulted when the primary annotation is missing."""
+        return self._fallback
+
+    @property
+    def missing_fraction(self) -> float:
+        """The share of addresses whose primary annotation is missing."""
+        return self._missing_fraction
+
     def annotate(self, version: int, value: int) -> Route | None:
         """The route covering the address, or None when unrouted/reserved."""
         if is_reserved(version, value):

@@ -124,17 +124,25 @@ class PrefixDomainIndex:
         """
         import hashlib
 
+        # Each prefix is formatted once per call: most are shared by
+        # many domains, and formatting dominates the hash.
+        texts: dict[Prefix, bytes] = {}
+
+        def text(prefix: Prefix) -> bytes:
+            found = texts.get(prefix)
+            if found is None:
+                found = texts[prefix] = str(prefix).encode("ascii") + b";"
+            return found
+
         digest = hashlib.sha256()
         for domain in sorted(self.domain_v4_prefixes):
             digest.update(domain.encode("utf-8"))
             digest.update(b"\x00")
             for prefix in sorted(self.domain_v4_prefixes[domain]):
-                digest.update(str(prefix).encode("ascii"))
-                digest.update(b";")
+                digest.update(text(prefix))
             digest.update(b"\x01")
             for prefix in sorted(self.domain_v6_prefixes[domain]):
-                digest.update(str(prefix).encode("ascii"))
-                digest.update(b";")
+                digest.update(text(prefix))
             digest.update(b"\x02")
         digest.update(str(self.dropped_domains).encode("ascii"))
         return digest.hexdigest()

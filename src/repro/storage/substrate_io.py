@@ -124,27 +124,23 @@ def _csr_lists(generation: Generation, name: str, typecode: str) -> list[list[in
 
 def annotator_digest(annotator) -> str:
     """Stable hex digest of a :class:`~repro.bgp.routeviews.
-    PrefixAnnotator`'s content signature.
+    PrefixAnnotator`'s content.
 
     :meth:`~repro.bgp.routeviews.PrefixAnnotator.signature` returns
     nested frozensets — content-equal but not serializable and with no
     stable iteration order.  The archive needs a *textual* identity to
-    store per generation, so the route sets are sorted and hashed;
-    equal signatures produce equal digests on any host or run.
+    store per generation, so it hashes each RIB's sorted
+    :meth:`~repro.bgp.rib.Rib.route_text` (cached per RIB mutation
+    count), a ``--`` line after each, and the missing-annotation
+    fraction; equal signatures produce equal digests on any host or run.
     """
     import hashlib
 
-    primary, fallback, fraction = annotator.signature()
     digest = hashlib.sha256()
-    for rib_signature in (primary, fallback):
-        for line in sorted(
-            f"{prefix}|{','.join(map(str, sorted(origins)))}"
-            for prefix, origins in rib_signature
-        ):
-            digest.update(line.encode("ascii"))
-            digest.update(b"\n")
+    for rib in (annotator.primary, annotator.fallback):
+        digest.update(rib.route_text())
         digest.update(b"--\n")
-    digest.update(repr(fraction).encode("ascii"))
+    digest.update(repr(annotator.missing_fraction).encode("ascii"))
     return digest.hexdigest()
 
 

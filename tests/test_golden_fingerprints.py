@@ -11,6 +11,12 @@ tier-1 on every Python version in the CI matrix:
 * the reference-date RIB's routes and origin sets, and
 * the ``repro detect --tune 28,96 --format csv`` export, which must
   also equal the pin the benchmark checks (``perfbench/workloads.py``).
+
+Two more pins hold the identity strings every archive generation
+stores: the reference-date annotator digest and the reference-date
+index's content signature.  The watcher's restart catch-up and the
+archive-resume gates compare them against archives already on disk, so
+a drift would silently force every archive to rebuild.
 """
 
 import hashlib
@@ -18,7 +24,9 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.core.domainsets import build_index
 from repro.dates import REFERENCE_DATE
+from repro.storage.substrate_io import annotator_digest
 from repro.synth import build_universe
 
 #: scale -> (snapshot observations, RIB routes, detect CSV) sha256.
@@ -32,6 +40,18 @@ GOLDEN = {
         "bb59754302700542c059d00802c3e12e9eaa34fc73d5351665421e5b8ee13527",
         "c6d59e5828bcd9eeb1437eb02c6bbefaa186d8f4779c4cec6d1b41cc552e3c35",
         "858e0d00bfde9fbc6fcee18c5fc9daadb195eeb9ae252e7225a86ae96309cafd",
+    ),
+}
+
+#: scale -> (annotator digest, index content signature) at the reference date.
+IDENTITIES = {
+    "tiny": (
+        "f0f0aad4577f529e72346a5d5650e1c1c35fb9af0cd92ac700a251b617eb2a80",
+        "c683d3a24c4939c4c951b96586914e97fe704cc7f5ba17b5e0cfbe9ca40f2709",
+    ),
+    "small": (
+        "f4bdd01bd3d9e6651a413edd1ce9f73c04c01208e6689a086d68529f6fb75366",
+        "201d264cff696b46f0e81639e4b6921e35bebaddcbbb797af292576840bd4f69",
     ),
 }
 
@@ -78,6 +98,24 @@ def test_snapshot_observations_pinned(scaled_universe):
 def test_rib_routes_pinned(scaled_universe):
     scale, universe = scaled_universe
     assert rib_fingerprint(universe) == GOLDEN[scale][1]
+
+
+def test_annotator_digest_pinned(scaled_universe):
+    scale, universe = scaled_universe
+    annotator = universe.annotator_at(REFERENCE_DATE)
+    assert annotator_digest(annotator) == IDENTITIES[scale][0]
+    # A second digest of the same annotator is served from the routing
+    # tables' cached route text and must not move.
+    assert annotator_digest(annotator) == IDENTITIES[scale][0]
+
+
+def test_index_content_signature_pinned(scaled_universe):
+    scale, universe = scaled_universe
+    index = build_index(
+        universe.snapshot_at(REFERENCE_DATE),
+        universe.annotator_at(REFERENCE_DATE),
+    )
+    assert index.content_signature() == IDENTITIES[scale][1]
 
 
 @pytest.mark.parametrize("scale", SCALES)

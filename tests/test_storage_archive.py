@@ -40,6 +40,8 @@ from test_incremental_pipeline import (
 )
 
 from repro.analysis.pipeline import archive_detection, detect_series
+from repro.bgp.rib import Rib
+from repro.bgp.routeviews import PrefixAnnotator
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_address
@@ -56,7 +58,7 @@ from repro.storage.format import (
     crc32_view,
 )
 from repro.storage.index_io import append_index, load_mapped_index
-from repro.storage.substrate_io import STATE_KIND, restore_state
+from repro.storage.substrate_io import STATE_KIND, annotator_digest, restore_state
 
 SNAPSHOT = datetime.date(2024, 9, 11)
 
@@ -387,8 +389,6 @@ class TestArchivedSeries:
         # The archive must *heal*: the recomputed generations are
         # appended (newest wins on read), so a further run replays them
         # from the archive instead of re-detecting forever.
-        from repro.storage.substrate_io import annotator_digest
-
         new_digest = annotator_digest(changed.annotator_at(dates[0]))
         with ArchiveReader.open(path) as reader:
             newest = reader.generations_by_date("siblings")
@@ -486,6 +486,70 @@ def test_restore_state_rejects_crafted_state(archived_state, tmp_path, case):
         assert generation.segment_names() == sorted(crafted)  # CRCs hold
         with pytest.raises(ArchiveFormatError, match=match):
             restore_state(generation, reader.pool_names())
+
+
+# -- routing-table identity --------------------------------------------------
+
+#: Nested v4 and v6 prefixes, so announcements cover one another.
+RIB_PREFIXES = [
+    Prefix.parse(text)
+    for text in (
+        "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "192.0.2.0/24",
+        "2001:db8::/32", "2001:db8:1::/48", "2001:db8:1:2::/64",
+    )
+]
+
+rib_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("announce", "moas", "withdraw", "withdraw-origin")),
+        st.sampled_from(RIB_PREFIXES),
+        st.integers(0, 2**32 - 1) | st.integers(1, 4),
+    ),
+    max_size=30,
+)
+
+
+def fresh_annotator_digest(routes: dict) -> str:
+    """The digest of a RIB built from *routes* in one go, its cached
+    route text filled by an earlier digest."""
+    rib = Rib()
+    for prefix, origins in sorted(routes.items()):
+        for origin in sorted(origins):
+            rib.announce(prefix, origin)
+    annotator = PrefixAnnotator(rib)
+    annotator_digest(annotator)
+    return annotator_digest(annotator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=rib_steps)
+def test_annotator_digest_follows_rib_mutations(steps):
+    """The cached route text is invalidated by every announce and
+    withdraw: after each step the mutated RIB digests like a fresh RIB
+    with the same routes, including MOAS origin sets."""
+    rib, routes = Rib(), {}
+    annotator = PrefixAnnotator(rib)
+    assert annotator_digest(annotator) == fresh_annotator_digest(routes)
+    for action, prefix, origin in steps:
+        if action in ("announce", "moas"):
+            if action == "moas" and routes:
+                # Add an origin to an announced prefix: a MOAS set.
+                prefix = sorted(routes)[origin % len(routes)]
+            rib.announce(prefix, origin)
+            routes.setdefault(prefix, set()).add(origin)
+        elif prefix not in routes:
+            with pytest.raises(KeyError):
+                rib.withdraw(prefix)
+        elif action == "withdraw":
+            rib.withdraw(prefix)
+            del routes[prefix]
+        else:
+            withdrawn = sorted(routes[prefix])[origin % len(routes[prefix])]
+            rib.withdraw(prefix, withdrawn)
+            routes[prefix].discard(withdrawn)
+            if not routes[prefix]:
+                del routes[prefix]
+        assert annotator_digest(annotator) == fresh_annotator_digest(routes)
 
 
 class TestServiceIntegration:
