@@ -8,6 +8,9 @@ route and published pair.  These sha256 pins make any such drift fail
 tier-1 on every Python version in the CI matrix:
 
 * the reference-date snapshot's observations, sorted by domain,
+* the snapshot's observations in ``observations()`` order, at the
+  reference date and at a mid-window date where dual-stack adoption is
+  partial (the order is what archive pool numbering follows),
 * the reference-date RIB's routes and origin sets, and
 * the ``repro detect --tune 28,96 --format csv`` export, which must
   also equal the pin the benchmark checks (``perfbench/workloads.py``).
@@ -19,6 +22,7 @@ archive-resume gates compare them against archives already on disk, so
 a drift would silently force every archive to rebuild.
 """
 
+import datetime
 import hashlib
 
 import pytest
@@ -41,6 +45,23 @@ GOLDEN = {
         "c6d59e5828bcd9eeb1437eb02c6bbefaa186d8f4779c4cec6d1b41cc552e3c35",
         "858e0d00bfde9fbc6fcee18c5fc9daadb195eeb9ae252e7225a86ae96309cafd",
     ),
+}
+
+#: A mid-window date where only some single-stack domains have adopted
+#: dual stack yet.
+MID_WINDOW_DATE = datetime.date(2021, 6, 9)
+
+#: scale -> date -> sha256 of the snapshot's observations in
+#: ``observations()`` order (not sorted).
+ORDERED = {
+    "tiny": {
+        REFERENCE_DATE: "f4efff90e0b88ad9c064d83c04cdc8100201d7020399f2f35b9394b1fb683e78",
+        MID_WINDOW_DATE: "36f028132aca679fa131b18de6c4ca0f6f80b1c7ab752215a65bc906cc84b7d7",
+    },
+    "small": {
+        REFERENCE_DATE: "3414565fa222599d112ff35a8bc92360a044c297865a6640b659ea990de48beb",
+        MID_WINDOW_DATE: "5a4b7135c2260ccee7a374f08beceaf928b96af1c0f426143835a8a60839c003",
+    },
 }
 
 #: scale -> (annotator digest, index content signature) at the reference date.
@@ -66,14 +87,26 @@ def _digest(lines) -> str:
     return digest.hexdigest()
 
 
+def _observation_line(observation) -> str:
+    return (
+        f"{observation.domain}|{','.join(map(str, observation.v4_addresses))}"
+        f"|{','.join(map(str, observation.v6_addresses))}"
+    )
+
+
 def observations_fingerprint(universe) -> str:
     """sha256 over ``domain|v4,...|v6,...`` lines, sorted by domain."""
     snapshot = universe.snapshot_at(REFERENCE_DATE)
     return _digest(
-        f"{o.domain}|{','.join(map(str, o.v4_addresses))}"
-        f"|{','.join(map(str, o.v6_addresses))}"
+        _observation_line(o)
         for o in sorted(snapshot.observations(), key=lambda o: o.domain)
     )
+
+
+def ordered_observations_fingerprint(universe, when) -> str:
+    """sha256 over ``domain|v4,...|v6,...`` lines in ``observations()``
+    order."""
+    return _digest(map(_observation_line, universe.snapshot_at(when).observations()))
 
 
 def rib_fingerprint(universe) -> str:
@@ -93,6 +126,14 @@ def scaled_universe(request):
 def test_snapshot_observations_pinned(scaled_universe):
     scale, universe = scaled_universe
     assert observations_fingerprint(universe) == GOLDEN[scale][0]
+
+
+@pytest.mark.parametrize(
+    "when", [REFERENCE_DATE, MID_WINDOW_DATE], ids=["reference", "mid-window"]
+)
+def test_snapshot_observation_order_pinned(scaled_universe, when):
+    scale, universe = scaled_universe
+    assert ordered_observations_fingerprint(universe, when) == ORDERED[scale][when]
 
 
 def test_rib_routes_pinned(scaled_universe):
