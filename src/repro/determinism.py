@@ -57,6 +57,30 @@ def prefix_hasher(*prefix: object) -> Callable[[bytes], int]:
     return hash_suffix
 
 
+def uniform_threshold(probability: float) -> int:
+    """The least integer ``x`` in ``[0, 2**64]`` with
+    ``x / 2**64 >= probability`` (*probability* not NaN).
+
+    Correctly rounded ``int / int`` is monotone in ``x``, so for every
+    64-bit hash ``h``, ``h < uniform_threshold(p)`` exactly when
+    ``h / 2**64 < p``: a :func:`stable_uniform` draw against a fixed
+    probability reduces to one integer comparison.  The threshold is not
+    simply ``p * 2**64``, because the division rounds: the 512 hashes
+    just below ``2**63`` divide to exactly 0.5.
+
+    >>> 2**63 - uniform_threshold(0.5)
+    512
+    """
+    low, high = 0, 2**64
+    while low < high:
+        middle = (low + high) // 2
+        if middle / 2**64 >= probability:
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
 def stable_uniform(*parts: object) -> float:
     """A deterministic float in [0, 1) derived from the arguments."""
     return stable_hash(*parts) / 2**64

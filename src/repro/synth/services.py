@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import bisect
 import datetime
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.dates import STUDY_END, STUDY_START, month_range, second_wednesday
 from repro.determinism import (
     key_bytes,
-    prefix_hasher,
     stable_hash,
     stable_sample_count,
     stable_uniform,
     stable_weighted_choice,
+    uniform_threshold,
 )
 from repro.dns.toplists import Toplist
 from repro.nettypes.addr import IPV4, IPV6
@@ -100,10 +101,12 @@ _FR_FRACTION = 0.12
 #: Fraction of dual-stack domains reached through a CNAME alias.
 _ALIAS_FRACTION = 0.15
 
-#: The study-window months, their 28th days (the ONESHOT cut-off) and
-#: their encoded hash-key suffixes, built once for every domain.
+#: The study-window months, their 28th days (the ONESHOT cut-off), their
+#: second Wednesdays (the dual-stack adoption days) and their encoded
+#: hash-key suffixes, built once for every domain.
 _STUDY_MONTHS: tuple[tuple[int, int], ...] = tuple(month_range(STUDY_START, STUDY_END))
 _STUDY_MONTH_28THS = tuple(datetime.date(y, m, 28) for y, m in _STUDY_MONTHS)
+_STUDY_MONTH_WEDNESDAYS = tuple(second_wednesday(y, m) for y, m in _STUDY_MONTHS)
 _STUDY_MONTH_KEYS = tuple(key_bytes(y, m) for y, m in _STUDY_MONTHS)
 
 #: Tier mixes by deployment style (ordinary orgs use the config weights).
@@ -220,6 +223,9 @@ class _ServiceBuilder:
         # Split-hosting allocators keyed by (host org, family).
         self._hosting_pools: dict[tuple, _SubAllocator] = {}
         self._noise_sink_allocs: list[_SubAllocator] = []
+        # A month's adoption draw ``stable_hash(...) / 2**64 < p`` as one
+        # integer comparison.
+        self._adoption_threshold = uniform_threshold(config.ds_adoption_monthly)
 
     # -- low-level helpers -----------------------------------------------------
 
@@ -517,12 +523,20 @@ class _ServiceBuilder:
 
     def _ds_adoption_date(self, name: str) -> datetime.date | None:
         """First month a single-stack domain publishes AAAA, or None if it
-        never does (the caller stores None as ``date.max``)."""
-        hash_month = prefix_hasher(self.seed, "adopt", name)
-        probability = self.config.ds_adoption_monthly
-        for (year, month), key in zip(_STUDY_MONTHS, _STUDY_MONTH_KEYS):
-            if hash_month(key) / 2**64 < probability:
-                return second_wednesday(year, month)
+        never does (the caller stores None as ``date.max``).
+
+        Month ``(y, m)`` adopts when ``stable_hash(seed, "adopt", name,
+        y, m)`` falls below the adoption threshold; the key prefix is
+        hashed once and its state copied per month.
+        """
+        copy = hashlib.blake2b(key_bytes(self.seed, "adopt", name), digest_size=8).copy
+        from_bytes = int.from_bytes
+        threshold = self._adoption_threshold
+        for key, adoption in zip(_STUDY_MONTH_KEYS, _STUDY_MONTH_WEDNESDAYS):
+            month = copy()
+            month.update(key)
+            if from_bytes(month.digest(), "little") < threshold:
+                return adoption
         return None
 
     def _add_domain(self, spec: DomainSpec) -> None:

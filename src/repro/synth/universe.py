@@ -26,11 +26,11 @@ from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.dates import REFERENCE_DATE, month_range
 from repro.determinism import key_bytes, prefix_hasher, stable_hash, stable_uniform
-from repro.dns.openintel import DnsSnapshot, SnapshotSeries
-from repro.dns.records import ResourceRecord
+from repro.dns.openintel import DnsSnapshot, DomainObservation, SnapshotSeries
+from repro.dns.records import ResourceRecord, validate_name
 from repro.dns.toplists import FR_CCTLD_ADDED, ToplistSchedule
 from repro.dns.zone import Zone
-from repro.nettypes.addr import IPV4, IPV6
+from repro.nettypes.addr import IPV4, IPV6, check_value
 from repro.nettypes.prefix import Prefix
 from repro.obs.tracing import trace
 from repro.orgs.as2org import As2Org
@@ -59,6 +59,16 @@ _CHURN_WINDOW: tuple[tuple[int, int], tuple[int, int]] = ((2018, 1), (2024, 12))
 _CHURN_DAYS = tuple(datetime.date(y, m, 15) for y, m in month_range(*_CHURN_WINDOW))
 _COUNT_KEY = key_bytes("count")
 _INDEX_KEYS = tuple(key_bytes(index) for index in range(len(_CHURN_DAYS)))
+
+
+def _checked_addresses(version: int, addresses: list[int]) -> tuple[int, ...]:
+    """*addresses* sorted and de-duplicated, as a resolver answers them,
+    each checked as an address record checks its value."""
+    for address in addresses:
+        check_value(version, address)
+    if len(addresses) < 2:
+        return tuple(addresses)
+    return tuple(sorted(set(addresses)))
 
 
 class _SmallCache:
@@ -335,23 +345,31 @@ class Universe:
             < self.config.intermittent_visibility
         )
 
-    def queried_names_at(self, when: datetime.date) -> list[str]:
-        """The domains the measurement queries on *when* (toplist-driven)."""
-        cached = self._queried_cache.get(when)
-        if cached is not None:
-            return cached
+    def _queried_specs(self, when: datetime.date) -> Iterator[DomainSpec]:
+        """The domain specs the measurement queries on *when*
+        (toplist-driven), in insertion order."""
         active = self.schedule.active(when)
-        queried: list[str] = []
+        before_fr = when < FR_CCTLD_ADDED
         for spec in self.fabric.domains.values():
             if spec.created > when:
                 continue
-            if spec.name.endswith(".fr") and when < FR_CCTLD_ADDED:
+            if before_fr and spec.name.endswith(".fr"):
                 continue
             if not (spec.sources & active):
                 continue
             if not self._pattern_visible(spec, when):
                 continue
-            queried.append(spec.alias if spec.alias is not None else spec.name)
+            yield spec
+
+    def queried_names_at(self, when: datetime.date) -> list[str]:
+        """The domains the measurement queries on *when* (toplist-driven)."""
+        cached = self._queried_cache.get(when)
+        if cached is not None:
+            return cached
+        queried = [
+            spec.alias if spec.alias is not None else spec.name
+            for spec in self._queried_specs(when)
+        ]
         monitoring = self.fabric.monitoring
         if monitoring is not None and monitoring.visible_on(when):
             queried.append(monitoring.domain)
@@ -361,15 +379,50 @@ class Universe:
     # -- measurement ---------------------------------------------------------------------
 
     def snapshot_at(self, when: datetime.date) -> DnsSnapshot:
+        """The OpenINTEL-style measurement on *when*.
+
+        Equal, observation order included, to
+        ``DnsSnapshot.measure(zone_at(when), queried_names_at(when), when)``
+        but evaluated straight from the domain specs: a queried alias
+        CNAMEs to its own spec's name, so every queried spec with an
+        address is one observation under that name.
+        """
         cached = self._snapshot_cache.get(when)
         if cached is not None:
             return cached
         with trace("synth.snapshot_at"):
-            snapshot = DnsSnapshot.measure(
-                self.zone_at(when), self.queried_names_at(when), when
-            )
+            snapshot = DnsSnapshot(when, self._observations_at(when))
         self._snapshot_cache.put(when, snapshot)
         return snapshot
+
+    def _observations_at(self, when: datetime.date) -> list[DomainObservation]:
+        observations: list[DomainObservation] = []
+        for spec in self._queried_specs(when):
+            v4, v6 = self.addresses_for(spec, when)
+            if not (v4 or v6):
+                continue
+            if spec.alias is not None:
+                validate_name(spec.alias)
+            observations.append(
+                DomainObservation(
+                    validate_name(spec.name),
+                    _checked_addresses(IPV4, v4),
+                    _checked_addresses(IPV6, v6),
+                )
+            )
+        monitoring = self.fabric.monitoring
+        if monitoring is not None and monitoring.visible_on(when):
+            v4 = [address for _, _, address in monitoring.v4_placements]
+            v6 = [address for _, _, address in monitoring.v6_placements]
+            if v4 or v6:
+                observations.append(
+                    DomainObservation(
+                        validate_name(monitoring.domain),
+                        _checked_addresses(IPV4, v4),
+                        _checked_addresses(IPV6, v6),
+                    )
+                )
+        return observations
 
     def series(self, dates: list[datetime.date]) -> SnapshotSeries:
         return SnapshotSeries(self.snapshot_at(date) for date in dates)
