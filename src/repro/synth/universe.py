@@ -19,6 +19,7 @@ deterministically per domain so any date can be queried in any order.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 from typing import Iterator
 
@@ -107,7 +108,10 @@ class Universe:
         self._churn_cache: dict[tuple, list[datetime.date]] = {}
         self._zone_cache = _SmallCache(2)
         self._snapshot_cache = _SmallCache(8)
-        self._rib_cache: dict[tuple[int, int], Rib] = {}
+        self._announcement_dates = sorted(
+            announcement.announced for announcement in self.fabric.announcements
+        )
+        self._rib_cache: dict[int, Rib] = {}
         self._queried_cache = _SmallCache(8)
 
     # -- population passthroughs ------------------------------------------------
@@ -430,7 +434,10 @@ class Universe:
     # -- routing ------------------------------------------------------------------------------
 
     def rib_at(self, when: datetime.date) -> Rib:
-        key = (when.year, when.month)
+        # Announcements alive on *when* are a prefix of the date-sorted
+        # list, so their count names the RIB: dates with the same count
+        # share one, whatever order they are asked in.
+        key = bisect.bisect_right(self._announcement_dates, when)
         cached = self._rib_cache.get(key)
         if cached is not None:
             return cached

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.pipeline import paper_offsets, stability_offsets
+from repro.bgp.rib import Rib
 from repro.dates import REFERENCE_DATE, snapshot_dates
 from repro.determinism import (
     key_bytes,
@@ -273,6 +275,27 @@ class TestDynamics:
 
         records = zone.records(spec.alias, RRType.CNAME)
         assert len(records) == 1 and records[0].target == spec.name
+
+    @pytest.mark.parametrize("offsets", [paper_offsets, stability_offsets])
+    def test_rib_independent_of_call_order(self, offsets):
+        # On small, deployments are announced on the reference date
+        # itself: Week -1 and Day 0 fall in one month but hold different
+        # routes, and the two offset lists ask for them in opposite orders.
+        universe = build_universe("small")
+        dates = [when for _, when in offsets(REFERENCE_DATE)]
+        texts = {when: universe.rib_at(when).route_text() for when in dates}
+        for when in dates:
+            expected = Rib()
+            for announcement in universe.fabric.announcements:
+                if announcement.announced <= when:
+                    org = universe.org(announcement.org_id)
+                    expected.announce(
+                        announcement.prefix,
+                        org.asn_for_family(announcement.prefix.version),
+                    )
+            assert texts[when] == expected.route_text(), when
+        week_before = REFERENCE_DATE - datetime.timedelta(days=7)
+        assert texts[week_before] != texts[REFERENCE_DATE]
 
     def test_host_inventory(self, universe):
         inventory = universe.host_inventory(REFERENCE_DATE)
