@@ -15,6 +15,13 @@ the exact interfaces the measurement pipeline consumes:
 Address assignment over time is computed lazily from per-domain churn
 event schedules (renumbering within a prefix, prefix moves), sampled
 deterministically per domain so any date can be queried in any order.
+
+``snapshot_at`` evaluates its observations straight from the domain
+specs.  The zone (with its CNAME aliases and MX records) and the
+resolver are not on that path: they serve the alternative inputs of
+Section 6, and ``DnsSnapshot.measure(zone_at(d), queried_names_at(d),
+d)`` is the oracle the direct snapshot must equal, observation order
+included (``tests/test_synth_oracle.py``).
 """
 
 from __future__ import annotations
