@@ -9,9 +9,10 @@ well mixed, and cheap.
 A key is encoded by :func:`key_bytes` as each part's ``repr()`` followed
 by a ``0x1f`` field separator, and :func:`stable_hash` digests that one
 buffer.  BLAKE2b is a streaming hash, so a key that shares a prefix with
-many others (one domain's draw for each of 49 months) can hash the
-prefix once: :func:`prefix_hasher` keeps the hash state after the prefix
-and ``copy()``-s it per suffix, giving exactly
+many others (one domain's draw for each of 49 months, or every domain's
+draw under one ``(seed, tag)``) can hash the prefix once:
+:func:`prefix_hasher` keeps the hash state after the prefix and
+``copy()``-s it per suffix, giving exactly
 ``stable_hash(*prefix, *suffix)``.
 """
 
@@ -20,19 +21,26 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Sequence
 
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
+
 
 def key_bytes(*parts: object) -> bytes:
-    """The bytes :func:`stable_hash` digests for *parts*.
+    """The bytes :func:`stable_hash` digests for *parts*: each part's
+    ``repr()`` followed by ``0x1f``, UTF-8 encoded.
 
     The field separator keeps ``("ab", "c")`` distinct from ``("a", "bc")``.
+    The whole text is encoded in one call; UTF-8 of a concatenation is the
+    concatenation of the encodings, so this equals encoding part by part.
     """
-    return b"".join([repr(part).encode() + b"\x1f" for part in parts])
+    return ("\x1f".join(map(repr, parts)) + "\x1f").encode() if parts else b""
 
 
 def stable_hash(*parts: object) -> int:
-    """A deterministic 64-bit hash of the argument tuple."""
-    digest = hashlib.blake2b(key_bytes(*parts), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    """A deterministic 64-bit hash of the argument tuple
+    (:func:`key_bytes` inlined: this is the hottest call of synthesis)."""
+    key = ("\x1f".join(map(repr, parts)) + "\x1f").encode() if parts else b""
+    return _from_bytes(_blake2b(key, digest_size=8).digest(), "little")
 
 
 def prefix_hasher(*prefix: object) -> Callable[[bytes], int]:
@@ -47,12 +55,12 @@ def prefix_hasher(*prefix: object) -> Callable[[bytes], int]:
     ... )
     True
     """
-    state = hashlib.blake2b(key_bytes(*prefix), digest_size=8)
+    copy = _blake2b(key_bytes(*prefix), digest_size=8).copy
 
     def hash_suffix(suffix: bytes) -> int:
-        clone = state.copy()
+        clone = copy()
         clone.update(suffix)
-        return int.from_bytes(clone.digest(), "little")
+        return _from_bytes(clone.digest(), "little")
 
     return hash_suffix
 

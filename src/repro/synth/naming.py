@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.determinism import stable_choice, stable_hash
+from repro.determinism import key_bytes, prefix_hasher, stable_choice, stable_hash
 
 _ADJECTIVES = (
     "blue", "rapid", "quiet", "solar", "iron", "amber", "polar", "vivid",
@@ -24,6 +24,12 @@ _ORG_SUFFIXES = ("Networks", "Systems", "Hosting", "Online", "Group", "Labs",
 #: toplist schedule (added August 2022).
 TLDS = ("com", "net", "org", "io", "de", "nl", "se", "dk", "fi", "fr")
 
+#: One hash state per ``domain-*`` tag: a domain's three draws share the
+#: encoding of its id (``stable_choice(options, tag, domain_id)``).
+_DOMAIN_ADJ = prefix_hasher("domain-adj")
+_DOMAIN_NOUN = prefix_hasher("domain-noun")
+_DOMAIN_TLD = prefix_hasher("domain-tld")
+
 
 def org_name(org_id: int) -> str:
     """A readable, unique organization name."""
@@ -36,10 +42,11 @@ def org_name(org_id: int) -> str:
 def domain_name(domain_id: int, tld: str | None = None) -> str:
     """A unique second-level domain; TLD chosen deterministically unless
     pinned by the caller (e.g. forced ``.fr`` for the ccTLD event)."""
-    adjective = stable_choice(_ADJECTIVES, "domain-adj", domain_id)
-    noun = stable_choice(_NOUNS, "domain-noun", domain_id)
+    key = key_bytes(domain_id)
+    adjective = _ADJECTIVES[_DOMAIN_ADJ(key) % len(_ADJECTIVES)]
+    noun = _NOUNS[_DOMAIN_NOUN(key) % len(_NOUNS)]
     if tld is None:
-        tld = stable_choice(TLDS[:-1], "domain-tld", domain_id)  # .fr pinned only
+        tld = TLDS[_DOMAIN_TLD(key) % (len(TLDS) - 1)]  # .fr pinned only
     return f"{adjective}-{noun}-{domain_id}.{tld}"
 
 

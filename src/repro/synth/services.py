@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.dates import STUDY_END, STUDY_START, month_range, second_wednesday
 from repro.determinism import (
     key_bytes,
+    prefix_hasher,
     stable_hash,
     stable_sample_count,
     stable_uniform,
@@ -108,6 +109,14 @@ _STUDY_MONTHS: tuple[tuple[int, int], ...] = tuple(month_range(STUDY_START, STUD
 _STUDY_MONTH_28THS = tuple(datetime.date(y, m, 28) for y, m in _STUDY_MONTHS)
 _STUDY_MONTH_WEDNESDAYS = tuple(second_wednesday(y, m) for y, m in _STUDY_MONTHS)
 _STUDY_MONTH_KEYS = tuple(key_bytes(y, m) for y, m in _STUDY_MONTHS)
+
+#: The tags of the per-domain draws ``stable_hash(seed, tag, key)``; the
+#: builder keeps one hash state per ``(seed, tag)`` and each domain's
+#: key (its name, or its id for ``is-fr``) is encoded once.
+_DOMAIN_DRAW_TAGS = (
+    "is-fr", "pattern", "oneshot", "alias", "noisy", "sinkpick",
+    "src1", "src2", "src3", "v6only",
+)
 
 #: Tier mixes by deployment style (ordinary orgs use the config weights).
 _ALIGNED_TIER_WEIGHTS = {
@@ -223,6 +232,7 @@ class _ServiceBuilder:
         # Split-hosting allocators keyed by (host org, family).
         self._hosting_pools: dict[tuple, _SubAllocator] = {}
         self._noise_sink_allocs: list[_SubAllocator] = []
+        self._draw = {tag: prefix_hasher(self.seed, tag) for tag in _DOMAIN_DRAW_TAGS}
         # A month's adoption draw ``stable_hash(...) / 2**64 < p`` as one
         # integer comparison.
         self._adoption_threshold = uniform_threshold(config.ds_adoption_monthly)
@@ -240,7 +250,7 @@ class _ServiceBuilder:
     def _take_domain_name(self) -> str:
         domain_id = self._next_domain_id
         self._next_domain_id += 1
-        if stable_uniform(self.seed, "is-fr", domain_id) < _FR_FRACTION:
+        if self._draw["is-fr"](key_bytes(domain_id)) / 2**64 < _FR_FRACTION:
             return domain_name(domain_id, tld="fr")
         return domain_name(domain_id)
 
@@ -479,8 +489,8 @@ class _ServiceBuilder:
         raw = low + (stable_hash(self.seed, "bucketpos", deployment_id) % (span + 1))
         return max(1, round(raw * self.config.domain_scale))
 
-    def _visibility(self, name: str) -> VisibilityPattern:
-        u = stable_uniform(self.seed, "pattern", name)
+    def _visibility(self, key: bytes) -> VisibilityPattern:
+        u = self._draw["pattern"](key) / 2**64
         if u < self.config.stable_fraction:
             return VisibilityPattern.STABLE
         if u < self.config.stable_fraction + self.config.oneshot_fraction:
@@ -488,16 +498,17 @@ class _ServiceBuilder:
         return VisibilityPattern.INTERMITTENT
 
     def _pattern_and_month(
-        self, name: str, created: datetime.date
+        self, key: bytes, created: datetime.date
     ) -> tuple[VisibilityPattern, tuple[int, int] | None]:
         """Visibility pattern plus the single month for ONESHOT domains
-        (a ONESHOT domain without its month would never be visible)."""
-        pattern = self._visibility(name)
+        (a ONESHOT domain without its month would never be visible);
+        *key* is ``key_bytes(name)``."""
+        pattern = self._visibility(key)
         if pattern is VisibilityPattern.ONESHOT:
-            return pattern, self._oneshot_month(name, created)
+            return pattern, self._oneshot_month(key, created)
         return pattern, None
 
-    def _sources(self, name: str) -> frozenset[Toplist]:
+    def _sources(self, name: str, key: bytes) -> frozenset[Toplist]:
         if name.endswith(".fr"):
             return frozenset({Toplist.OPEN_CCTLDS})
         pool = (
@@ -507,19 +518,20 @@ class _ServiceBuilder:
             Toplist.CLOUDFLARE_RADAR,
             Toplist.OPEN_CCTLDS,
         )
-        primary = pool[stable_hash(self.seed, "src1", name) % len(pool)]
-        if stable_uniform(self.seed, "src2", name) < 0.4:
-            secondary = pool[stable_hash(self.seed, "src3", name) % len(pool)]
+        draw = self._draw
+        primary = pool[draw["src1"](key) % len(pool)]
+        if draw["src2"](key) / 2**64 < 0.4:
+            secondary = pool[draw["src3"](key) % len(pool)]
             return frozenset({primary, secondary})
         return frozenset({primary})
 
-    def _oneshot_month(self, name: str, created: datetime.date) -> tuple[int, int]:
+    def _oneshot_month(self, key: bytes, created: datetime.date) -> tuple[int, int]:
         # The months whose 28th is on or after *created*: a suffix of
         # the (ascending) study window.
         months = _STUDY_MONTHS[bisect.bisect_left(_STUDY_MONTH_28THS, created):]
         if not months:
             months = (STUDY_END,)
-        return months[stable_hash(self.seed, "oneshot", name) % len(months)]
+        return months[self._draw["oneshot"](key) % len(months)]
 
     def _ds_adoption_date(self, name: str) -> datetime.date | None:
         """First month a single-stack domain publishes AAAA, or None if it
@@ -527,15 +539,20 @@ class _ServiceBuilder:
 
         Month ``(y, m)`` adopts when ``stable_hash(seed, "adopt", name,
         y, m)`` falls below the adoption threshold; the key prefix is
-        hashed once and its state copied per month.
+        hashed once and its state copied per month.  The digest is the
+        hash in little-endian order, so a month whose top byte
+        (``digest[7]``) exceeds the threshold's is rejected without
+        converting the digest.
         """
         copy = hashlib.blake2b(key_bytes(self.seed, "adopt", name), digest_size=8).copy
         from_bytes = int.from_bytes
         threshold = self._adoption_threshold
+        top = threshold >> 56
         for key, adoption in zip(_STUDY_MONTH_KEYS, _STUDY_MONTH_WEDNESDAYS):
             month = copy()
             month.update(key)
-            if from_bytes(month.digest(), "little") < threshold:
+            digest = month.digest()
+            if digest[7] <= top and from_bytes(digest, "little") < threshold:
                 return adoption
         return None
 
@@ -550,30 +567,28 @@ class _ServiceBuilder:
             < config.expansion_fraction
             and deployment.alt_v6_block is not None
         )
+        draw = self._draw
         for slot in range(count):
             name = self._take_domain_name()
+            key = key_bytes(name)
             created = deployment.created
-            pattern, oneshot_month = self._pattern_and_month(name, created)
+            pattern, oneshot_month = self._pattern_and_month(key, created)
             alias = (
-                f"www.{name}"
-                if stable_uniform(self.seed, "alias", name) < _ALIAS_FRACTION
-                else None
+                f"www.{name}" if draw["alias"](key) / 2**64 < _ALIAS_FRACTION else None
             )
             noise_v6 = None
             if deployment.tier is DeploymentTier.NOISY:
                 noise_share = 0.25 + 0.5 * stable_uniform(
                     self.seed, "noiseshare", deployment.deployment_id
                 )
-                if stable_uniform(self.seed, "noisy", name) < noise_share:
-                    noise_v6 = self._noise_sink_block(
-                        stable_hash(self.seed, "sinkpick", name)
-                    )
+                if draw["noisy"](key) / 2**64 < noise_share:
+                    noise_v6 = self._noise_sink_block(draw["sinkpick"](key))
             self._add_domain(
                 DomainSpec(
                     name=name,
                     deployment_id=deployment.deployment_id,
                     slot=slot,
-                    sources=self._sources(name),
+                    sources=self._sources(name, key),
                     created=created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,
@@ -593,7 +608,7 @@ class _ServiceBuilder:
                         name=name,
                         deployment_id=deployment.deployment_id,
                         slot=count + extra,
-                        sources=self._sources(name),
+                        sources=self._sources(name, key_bytes(name)),
                         created=max(expansion_date, deployment.created),
                         pattern=VisibilityPattern.STABLE,
                         ds_adoption=None,
@@ -610,19 +625,16 @@ class _ServiceBuilder:
         )
         for extra in range(ss_count):
             name = self._take_domain_name()
-            v6_only = (
-                stable_uniform(self.seed, "v6only", name) < config.v6_only_fraction
-            )
+            key = key_bytes(name)
+            v6_only = draw["v6only"](key) / 2**64 < config.v6_only_fraction
             adoption = None if v6_only else self._ds_adoption_date(name)
-            pattern, oneshot_month = self._pattern_and_month(
-                name, deployment.created
-            )
+            pattern, oneshot_month = self._pattern_and_month(key, deployment.created)
             self._add_domain(
                 DomainSpec(
                     name=name,
                     deployment_id=deployment.deployment_id,
                     slot=count + 2 + extra,
-                    sources=self._sources(name),
+                    sources=self._sources(name, key),
                     created=deployment.created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,
@@ -653,16 +665,17 @@ class _ServiceBuilder:
         )
         for _ in range(n_domains):
             name = self._take_domain_name()
+            key = key_bytes(name)
             created = deployment_creation_date(
                 self.config, stable_hash("agility-created", name) % 10_000_000
             )
-            pattern, oneshot_month = self._pattern_and_month(name, created)
+            pattern, oneshot_month = self._pattern_and_month(key, created)
             self._add_domain(
                 DomainSpec(
                     name=name,
                     deployment_id=-org_id,
                     slot=0,
-                    sources=self._sources(name),
+                    sources=self._sources(name, key),
                     created=created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,

@@ -63,6 +63,8 @@ from repro.synth.topology import Population, build_population
 #: on the 15th of its month.  A schedule hashes ``"count"`` and then each
 #: event index; a monthly probability is at most 1, so there are never
 #: more events than months and ``_INDEX_KEYS`` covers every index.
+#: Every key is ``(seed, kind, name, family, suffix)``; a universe keeps
+#: one hash state per ``(seed, kind)`` and appends the rest.
 _CHURN_WINDOW: tuple[tuple[int, int], tuple[int, int]] = ((2018, 1), (2024, 12))
 _CHURN_DAYS = tuple(datetime.date(y, m, 15) for y, m in month_range(*_CHURN_WINDOW))
 _COUNT_KEY = key_bytes("count")
@@ -113,6 +115,9 @@ class Universe:
                 self._org_by_asn[asn] = org
 
         self._churn_cache: dict[tuple, list[datetime.date]] = {}
+        self._churn_hashers = {
+            kind: prefix_hasher(config.seed, kind) for kind in ("move", "renumber")
+        }
         self._zone_cache = _SmallCache(2)
         self._snapshot_cache = _SmallCache(8)
         self._announcement_dates = sorted(
@@ -158,13 +163,14 @@ class Universe:
         cached = self._churn_cache.get(key)
         if cached is not None:
             return cached
-        hash_suffix = prefix_hasher(self.config.seed, kind, name, family)
+        hash_suffix = self._churn_hashers[kind]
+        domain_key = key_bytes(name, family)
         expected = monthly_probability * len(_CHURN_DAYS)
         count = int(expected)
-        if hash_suffix(_COUNT_KEY) / 2**64 < expected - count:
+        if hash_suffix(domain_key + _COUNT_KEY) / 2**64 < expected - count:
             count += 1
         picks = {
-            hash_suffix(index_key) % len(_CHURN_DAYS)
+            hash_suffix(domain_key + index_key) % len(_CHURN_DAYS)
             for index_key in _INDEX_KEYS[:count]
         }
         dates = sorted(_CHURN_DAYS[i] for i in picks)
