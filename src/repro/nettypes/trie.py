@@ -15,13 +15,19 @@ the tuner and the BGP substrate need:
 
 Internal nodes created for path compression carry no value; they disappear
 again when deletions make them redundant.
+
+Walks compare plain integers: a node's prefix (``value``, ``length``)
+contains a key ``value`` of at least its length exactly when
+``(key ^ value) >> (bits - length)`` is zero, and the branch bit below a
+node of length ``n`` is ``(key >> (bits - 1 - n)) & 1``.  Every node on a
+walk contains the key, so only the child just reached needs the test.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.nettypes.addr import MAX_LENGTH
+from repro.nettypes.addr import MAX_LENGTH, check_value
 from repro.nettypes.prefix import Prefix, PrefixError
 
 V = TypeVar("V")
@@ -63,6 +69,7 @@ class PatriciaTrie:
         if version not in MAX_LENGTH:
             raise PrefixError(f"unknown IP version: {version!r}")
         self.version = version
+        self._bits = MAX_LENGTH[version]
         self._aggregate = aggregate
         self._root = _Node(Prefix(version, 0, 0))
         self._size = 0
@@ -97,15 +104,19 @@ class PatriciaTrie:
         """Store *value* under *prefix*, replacing any existing value."""
         self._check_version(prefix)
         self._generation += 1
+        bits = self._bits
+        key = prefix.value
+        length = prefix.length
         node = self._root
         while True:
-            if node.prefix == prefix:
+            node_length = node.prefix.length
+            if node_length == length:
                 if not node.has_value:
                     self._size += 1
                 node.value = value
                 node.has_value = True
                 return
-            bit = prefix.bit_at(node.prefix.length)
+            bit = (key >> (bits - 1 - node_length)) & 1
             child = node.children[bit]
             if child is None:
                 leaf = _Node(prefix)
@@ -114,27 +125,32 @@ class PatriciaTrie:
                 node.children[bit] = leaf
                 self._size += 1
                 return
-            if child.prefix.contains(prefix):
+            child_key = child.prefix.value
+            child_length = child.prefix.length
+            if child_length <= length and not (key ^ child_key) >> (bits - child_length):
                 node = child
                 continue
-            if prefix.contains(child.prefix):
+            if length < child_length and not (key ^ child_key) >> (bits - length):
                 # Splice the new node between ``node`` and ``child``.
                 new = _Node(prefix)
                 new.value = value
                 new.has_value = True
-                new.children[child.prefix.bit_at(prefix.length)] = child
+                new.children[(child_key >> (bits - 1 - length)) & 1] = child
                 node.children[bit] = new
                 self._size += 1
                 return
             # The paths diverge inside ``child``: add a valueless glue node
             # at the longest common prefix.
-            common = prefix.common_prefix(child.prefix)
-            glue = _Node(common)
-            glue.children[child.prefix.bit_at(common.length)] = child
+            limit = min(length, child_length)
+            common = limit - ((key ^ child_key) >> (bits - limit)).bit_length()
+            glue = _Node(
+                Prefix(self.version, key >> (bits - common) << (bits - common), common)
+            )
+            glue.children[(child_key >> (bits - 1 - common)) & 1] = child
             leaf = _Node(prefix)
             leaf.value = value
             leaf.has_value = True
-            glue.children[prefix.bit_at(common.length)] = leaf
+            glue.children[(key >> (bits - 1 - common)) & 1] = leaf
             node.children[bit] = glue
             self._size += 1
             return
@@ -146,15 +162,19 @@ class PatriciaTrie:
         behind by the deletion are compressed away.
         """
         self._check_version(prefix)
+        bits = self._bits
+        key = prefix.value
+        length = prefix.length
         path: list[tuple[_Node, int]] = []
         node = self._root
-        while node.prefix != prefix:
-            if node.prefix.length >= prefix.length or not node.prefix.contains(prefix):
-                raise KeyError(str(prefix))
-            bit = prefix.bit_at(node.prefix.length)
+        while node.prefix.length != length:
+            bit = (key >> (bits - 1 - node.prefix.length)) & 1
             child = node.children[bit]
-            if child is None or not (
-                child.prefix.contains(prefix) or child.prefix == prefix
+            if child is None:
+                raise KeyError(str(prefix))
+            child_length = child.prefix.length
+            if child_length > length or (key ^ child.prefix.value) >> (
+                bits - child_length
             ):
                 raise KeyError(str(prefix))
             path.append((node, bit))
@@ -191,7 +211,7 @@ class PatriciaTrie:
     def exact_node(self, prefix: Prefix) -> "_Node | None":
         self._check_version(prefix)
         node = self._descend(prefix)
-        if node is not None and node.prefix == prefix and node.has_value:
+        if node is not None and node.prefix.length == prefix.length and node.has_value:
             return node
         return None
 
@@ -242,15 +262,25 @@ class PatriciaTrie:
     def lookup(self, query: Prefix) -> tuple[Prefix, V] | None:
         """Longest stored prefix containing *query*, with its value."""
         self._check_version(query)
+        return self._longest_match(query.value, query.length)
+
+    def _longest_match(self, key: int, length: int) -> tuple[Prefix, V] | None:
+        bits = self._bits
         best: _Node | None = None
         node = self._root
         while True:
-            if node.has_value and node.prefix.contains(query):
+            if node.has_value:
                 best = node
-            if node.prefix.length >= query.length:
+            node_length = node.prefix.length
+            if node_length >= length:
                 break
-            child = node.children[query.bit_at(node.prefix.length)]
-            if child is None or not child.prefix.contains(query):
+            child = node.children[(key >> (bits - 1 - node_length)) & 1]
+            if child is None:
+                break
+            child_length = child.prefix.length
+            if child_length > length or (key ^ child.prefix.value) >> (
+                bits - child_length
+            ):
                 break
             node = child
         if best is None:
@@ -267,20 +297,31 @@ class PatriciaTrie:
 
     def lookup_address(self, value: int) -> tuple[Prefix, V] | None:
         """LPM for a bare integer address."""
-        return self.lookup(Prefix.host(self.version, value))
+        if value < 0 or value >> self._bits:
+            check_value(self.version, value)  # raises: out of range
+        return self._longest_match(value, self._bits)
 
     def covering(self, query: Prefix) -> list[tuple[Prefix, V]]:
         """All stored prefixes containing *query*, shortest first."""
         self._check_version(query)
+        bits = self._bits
+        key = query.value
+        length = query.length
         found: list[tuple[Prefix, V]] = []
         node = self._root
         while True:
-            if node.has_value and node.prefix.contains(query):
+            if node.has_value:
                 found.append((node.prefix, node.value))  # type: ignore[arg-type]
-            if node.prefix.length >= query.length:
+            node_length = node.prefix.length
+            if node_length >= length:
                 break
-            child = node.children[query.bit_at(node.prefix.length)]
-            if child is None or not child.prefix.contains(query):
+            child = node.children[(key >> (bits - 1 - node_length)) & 1]
+            if child is None:
+                break
+            child_length = child.prefix.length
+            if child_length > length or (key ^ child.prefix.value) >> (
+                bits - child_length
+            ):
                 break
             node = child
         return found
@@ -293,19 +334,25 @@ class PatriciaTrie:
         The returned node's own prefix may be *more* specific than the
         query (path compression); it is never less specific.
         """
+        bits = self._bits
+        key = prefix.value
+        length = prefix.length
         node = self._root
+        if length == 0:
+            return node
         while True:
-            if node.prefix.length >= prefix.length:
-                return node if prefix.contains(node.prefix) else None
-            child = node.children[prefix.bit_at(node.prefix.length)]
+            child = node.children[(key >> (bits - 1 - node.prefix.length)) & 1]
             if child is None:
                 return None
-            if child.prefix.length >= prefix.length:
-                return child if prefix.contains(child.prefix) else None
-            if child.prefix.contains(prefix):
-                node = child
-                continue
-            return None
+            child_length = child.prefix.length
+            if child_length >= length:
+                # The child lies inside *prefix* or beside it.
+                if (key ^ child.prefix.value) >> (bits - length):
+                    return None
+                return child
+            if (key ^ child.prefix.value) >> (bits - child_length):
+                return None
+            node = child
 
     def subtree_root(self, prefix: Prefix) -> Prefix | None:
         """The most specific prefix covering everything stored below
@@ -331,7 +378,7 @@ class PatriciaTrie:
         node = self._descend(prefix)
         if node is None:
             return []
-        if node.prefix != prefix:
+        if node.prefix.length != prefix.length:
             return [node.prefix] if self._subtree_nonempty(node) else []
         children = []
         for child in node.children:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nettypes.addr import IPV4, IPV6
+from repro.nettypes.addr import IPV4, IPV6, MAX_LENGTH, AddressError
 from repro.nettypes.prefix import Prefix, PrefixError
 from repro.nettypes.trie import PatriciaTrie, union_of_frozensets
 
@@ -33,6 +33,46 @@ def small_v6_prefixes():
         st.integers(min_value=0, max_value=255),
         st.integers(min_value=0, max_value=120),
     )
+
+
+def _address_near(version: int):
+    """Addresses inside and around the entries above: the high byte (v4)
+    or the high and low bytes (v6) of the prefix generators, then
+    boundary or random host bits."""
+    if version == IPV4:
+        return st.builds(
+            lambda high, host: (high << 24) | host,
+            st.integers(min_value=0, max_value=255),
+            st.sampled_from([0, 1, 0xFFFFFF]) | st.integers(0, 2**24 - 1),
+        )
+    return st.builds(
+        lambda high, low, host: (high << 120) | (low << 8) | host,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=255),
+        st.sampled_from([0, 1, 0xFF]) | st.integers(0, 255),
+    )
+
+
+def _entries(version: int):
+    """Collision-heavy prefixes plus host routes and the /0 route."""
+    small = small_v4_prefixes() if version == IPV4 else small_v6_prefixes()
+    return st.lists(
+        st.tuples(
+            st.one_of(
+                small,
+                _address_near(version).map(lambda a: Prefix.host(version, a)),
+                st.just(Prefix(version, 0, 0)),
+            ),
+            st.integers(),
+        ),
+        max_size=30,
+    )
+
+
+def _scan_lpm(model: dict, address: int):
+    """Longest-prefix match by linear scan: the model the walks must equal."""
+    matches = [(q, v) for q, v in model.items() if q.contains_address(address)]
+    return max(matches, key=lambda match: match[0].length, default=None)
 
 
 class TestInsertLookup:
@@ -386,3 +426,77 @@ class TestFromItems:
             aggregate=union_of_frozensets,
         )
         assert trie.aggregate_under(p("10.0.0.0/8")) == frozenset({"x", "y"})
+
+
+@pytest.mark.parametrize("version", [IPV4, IPV6])
+class TestIntegerWalks:
+    """The integer walks (``lookup_address``, ``lookup``, ``covering``,
+    ``remove``) against a linear scan, for both families."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lookup_address_matches_scan(self, version, data):
+        entries = data.draw(_entries(version))
+        trie = PatriciaTrie(version)
+        model: dict[Prefix, int] = {}
+        for prefix, value in entries:
+            trie[prefix] = value
+            model[prefix] = value
+        hosts = [q.value for q in model if q.length == q.bits]
+        queries = data.draw(st.lists(_address_near(version), min_size=1, max_size=8))
+        for query in queries + hosts:
+            expected = _scan_lpm(model, query)
+            assert trie.lookup_address(query) == expected
+            assert trie.lookup(Prefix.host(version, query)) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        excess=st.integers(min_value=0, max_value=2**130),
+        negative=st.booleans(),
+    )
+    def test_lookup_address_rejects_out_of_range(self, version, data, excess, negative):
+        trie = PatriciaTrie(version)
+        for prefix, value in data.draw(_entries(version)):
+            trie[prefix] = value
+        bits = MAX_LENGTH[version]
+        value = -1 - excess if negative else (1 << bits) + excess
+        with pytest.raises(AddressError, match="out of range"):
+            trie.lookup_address(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_covering_matches_scan(self, version, data):
+        entries = data.draw(_entries(version))
+        trie = PatriciaTrie(version)
+        model: dict[Prefix, int] = {}
+        for prefix, value in entries:
+            trie[prefix] = value
+            model[prefix] = value
+        small = small_v4_prefixes() if version == IPV4 else small_v6_prefixes()
+        hosts = _address_near(version).map(lambda a: Prefix.host(version, a))
+        queries = data.draw(st.lists(small | hosts, min_size=1, max_size=8))
+        for query in queries + list(model):
+            expected = sorted(
+                ((q, v) for q, v in model.items() if q.contains(query)),
+                key=lambda match: match[0].length,
+            )
+            assert trie.covering(query) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lpm_after_removals_matches_scan(self, version, data):
+        entries = data.draw(_entries(version))
+        trie = PatriciaTrie(version)
+        model: dict[Prefix, int] = {}
+        for prefix, value in entries:
+            trie[prefix] = value
+            model[prefix] = value
+        if model:
+            for prefix in data.draw(st.lists(st.sampled_from(sorted(model)), unique=True)):
+                assert trie.remove(prefix) == model.pop(prefix)
+        assert len(trie) == len(model)
+        for query in data.draw(st.lists(_address_near(version), min_size=1, max_size=8)):
+            assert trie.lookup_address(query) == _scan_lpm(model, query)
+        for prefix in model:
+            assert trie.lookup(prefix) == (prefix, model[prefix])
