@@ -133,9 +133,10 @@ class DomainSpec:
     pattern: VisibilityPattern
     #: For ONESHOT domains: the single snapshot month they appear in.
     oneshot_month: tuple[int, int] | None = None
-    #: None → dual-stack since creation; a date → AAAA added then;
-    #: datetime.date.max → never (IPv4-only domain).
-    ds_adoption: datetime.date | None = None
+    #: A single-stack companion: IPv4-only until the universe's adoption
+    #: draw for its name says otherwise (``Universe.dual_stack_on``), or
+    #: IPv6-only for good.  False → dual-stack since creation.
+    single_stack: bool = False
     #: v6-only domains have no A records at all.
     v6_only: bool = False
     #: Extra noise: fraction of NOISY deployments' domains also appear at
@@ -144,10 +145,3 @@ class DomainSpec:
     noise_v6: Prefix | None = None
     #: Queried alias that CNAMEs to this (final) name, if any.
     alias: str | None = None
-
-    def dual_stack_on(self, date: datetime.date) -> bool:
-        if self.v6_only:
-            return False
-        if self.ds_adoption is None:
-            return True
-        return date >= self.ds_adoption

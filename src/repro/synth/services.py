@@ -38,7 +38,6 @@ from repro.determinism import (
     stable_sample_count,
     stable_uniform,
     stable_weighted_choice,
-    uniform_threshold,
 )
 from repro.dns.toplists import Toplist
 from repro.nettypes.addr import IPV4, IPV6
@@ -197,6 +196,30 @@ class ServiceFabric:
         return self.agility_networks.get(-spec.deployment_id)
 
 
+def ds_adoption_date(seed: int, name: str, threshold: int) -> datetime.date | None:
+    """First month a single-stack domain publishes AAAA, or None if it
+    never does.
+
+    Month ``(y, m)`` adopts when ``stable_hash(seed, "adopt", name, y, m)``
+    falls below *threshold*, ``uniform_threshold(ds_adoption_monthly)``:
+    the draw ``stable_uniform(...) < p`` as one integer comparison.  The
+    key prefix is hashed once and its state copied per month.  The digest
+    is the hash in little-endian order, so a month whose top byte
+    (``digest[7]``) exceeds the threshold's is rejected without
+    converting the digest.
+    """
+    copy = hashlib.blake2b(key_bytes(seed, "adopt", name), digest_size=8).copy
+    from_bytes = int.from_bytes
+    top = threshold >> 56
+    for key, adoption in zip(_STUDY_MONTH_KEYS, _STUDY_MONTH_WEDNESDAYS):
+        month = copy()
+        month.update(key)
+        digest = month.digest()
+        if digest[7] <= top and from_bytes(digest, "little") < threshold:
+            return adoption
+    return None
+
+
 class _SubAllocator:
     """Carve fixed-size children out of a covering prefix, in order."""
 
@@ -233,9 +256,6 @@ class _ServiceBuilder:
         self._hosting_pools: dict[tuple, _SubAllocator] = {}
         self._noise_sink_allocs: list[_SubAllocator] = []
         self._draw = {tag: prefix_hasher(self.seed, tag) for tag in _DOMAIN_DRAW_TAGS}
-        # A month's adoption draw ``stable_hash(...) / 2**64 < p`` as one
-        # integer comparison.
-        self._adoption_threshold = uniform_threshold(config.ds_adoption_monthly)
 
     # -- low-level helpers -----------------------------------------------------
 
@@ -533,29 +553,6 @@ class _ServiceBuilder:
             months = (STUDY_END,)
         return months[self._draw["oneshot"](key) % len(months)]
 
-    def _ds_adoption_date(self, name: str) -> datetime.date | None:
-        """First month a single-stack domain publishes AAAA, or None if it
-        never does (the caller stores None as ``date.max``).
-
-        Month ``(y, m)`` adopts when ``stable_hash(seed, "adopt", name,
-        y, m)`` falls below the adoption threshold; the key prefix is
-        hashed once and its state copied per month.  The digest is the
-        hash in little-endian order, so a month whose top byte
-        (``digest[7]``) exceeds the threshold's is rejected without
-        converting the digest.
-        """
-        copy = hashlib.blake2b(key_bytes(self.seed, "adopt", name), digest_size=8).copy
-        from_bytes = int.from_bytes
-        threshold = self._adoption_threshold
-        top = threshold >> 56
-        for key, adoption in zip(_STUDY_MONTH_KEYS, _STUDY_MONTH_WEDNESDAYS):
-            month = copy()
-            month.update(key)
-            digest = month.digest()
-            if digest[7] <= top and from_bytes(digest, "little") < threshold:
-                return adoption
-        return None
-
     def _add_domain(self, spec: DomainSpec) -> None:
         self.fabric.domains[spec.name] = spec
 
@@ -592,7 +589,6 @@ class _ServiceBuilder:
                     created=created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,
-                    ds_adoption=None,
                     noise_v6=noise_v6,
                     alias=alias,
                 )
@@ -611,8 +607,7 @@ class _ServiceBuilder:
                         sources=self._sources(name, key_bytes(name)),
                         created=max(expansion_date, deployment.created),
                         pattern=VisibilityPattern.STABLE,
-                        ds_adoption=None,
-                        noise_v6=deployment.alt_v6_block,
+                            noise_v6=deployment.alt_v6_block,
                         alias=None,
                     )
                 )
@@ -627,7 +622,6 @@ class _ServiceBuilder:
             name = self._take_domain_name()
             key = key_bytes(name)
             v6_only = draw["v6only"](key) / 2**64 < config.v6_only_fraction
-            adoption = None if v6_only else self._ds_adoption_date(name)
             pattern, oneshot_month = self._pattern_and_month(key, deployment.created)
             self._add_domain(
                 DomainSpec(
@@ -638,7 +632,7 @@ class _ServiceBuilder:
                     created=deployment.created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,
-                    ds_adoption=adoption if adoption is not None else datetime.date.max,
+                    single_stack=True,
                     v6_only=v6_only,
                     alias=None,
                 )
@@ -679,7 +673,6 @@ class _ServiceBuilder:
                     created=created,
                     pattern=pattern,
                     oneshot_month=oneshot_month,
-                    ds_adoption=None,
                     alias=None,
                 )
             )

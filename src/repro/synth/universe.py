@@ -33,7 +33,13 @@ from typing import Iterator
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.dates import REFERENCE_DATE, month_range
-from repro.determinism import key_bytes, prefix_hasher, stable_hash, stable_uniform
+from repro.determinism import (
+    key_bytes,
+    prefix_hasher,
+    stable_hash,
+    stable_uniform,
+    uniform_threshold,
+)
 from repro.dns.openintel import DnsSnapshot, DomainObservation, SnapshotSeries
 from repro.dns.records import ResourceRecord, validate_name
 from repro.dns.toplists import FR_CCTLD_ADDED, ToplistSchedule
@@ -56,6 +62,7 @@ from repro.synth.services import (
     MonitoringSpec,
     ServiceFabric,
     build_services,
+    ds_adoption_date,
 )
 from repro.synth.topology import Population, build_population
 
@@ -115,6 +122,8 @@ class Universe:
                 self._org_by_asn[asn] = org
 
         self._churn_cache: dict[tuple, list[datetime.date]] = {}
+        self._adoption_threshold = uniform_threshold(config.ds_adoption_monthly)
+        self._adoption_cache: dict[str, datetime.date] = {}
         self._churn_hashers = {
             kind: prefix_hasher(config.seed, kind) for kind in ("move", "renumber")
         }
@@ -182,6 +191,28 @@ class Universe:
     ) -> int:
         return sum(1 for d in dates if created < d <= when)
 
+    # -- dual-stack adoption ----------------------------------------------------------
+
+    def dual_stack_on(self, spec: DomainSpec, when: datetime.date) -> bool:
+        """Whether *spec* publishes both A and AAAA records on *when*.
+
+        A single-stack domain's adoption month is drawn the first time it
+        is asked for and then kept, as churn schedules are: a snapshot
+        only draws for the domains it queries.
+        """
+        if spec.v6_only:
+            return False
+        if not spec.single_stack:
+            return True
+        adoption = self._adoption_cache.get(spec.name)
+        if adoption is None:
+            drawn = ds_adoption_date(
+                self.config.seed, spec.name, self._adoption_threshold
+            )
+            adoption = drawn if drawn is not None else datetime.date.max
+            self._adoption_cache[spec.name] = adoption
+        return when >= adoption
+
     # -- address bindings -------------------------------------------------------------
 
     def _offset_in(self, block: Prefix, *key_parts: object) -> int:
@@ -245,7 +276,7 @@ class Universe:
                         block4, "noisy-addr", deployment.deployment_id, IPV4
                     )
                 )
-            if spec.dual_stack_on(when) or spec.v6_only:
+            if spec.v6_only or self.dual_stack_on(spec, when):
                 if spec.noise_v6 is not None:
                     v6.append(
                         spec.noise_v6.first_address
@@ -266,7 +297,7 @@ class Universe:
                 block4.first_address
                 + self._offset_in(block4, "addr", spec.name, IPV4, renumbers4)
             )
-        if spec.dual_stack_on(when) or spec.v6_only:
+        if spec.v6_only or self.dual_stack_on(spec, when):
             if spec.noise_v6 is not None:
                 v6.append(
                     spec.noise_v6.first_address

@@ -6,14 +6,18 @@ resolver (``DnsSnapshot.measure(zone_at(d), queried_names_at(d), d)``)
 is its oracle, and the two must agree observation for observation, in
 order.  The dual-stack adoption draw compares each month's hash with an
 integer threshold instead of dividing it by ``2**64``; it must pick the
-same month as the float comparison for every probability.
+same month as the float comparison for every probability, and the
+universe's lazy, memoised draw must equal the eager one.  ``stable_hash``
+encodes its key in one call; it must digest exactly the bytes of the
+part-by-part ``key_bytes`` encoding.
 
 The blocking CI differential job runs this file under
 ``HYPOTHESIS_PROFILE=differential``.
 """
 
-import dataclasses
 import datetime
+import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,11 +30,11 @@ from repro.dates import (
     month_range,
     second_wednesday,
 )
-from repro.determinism import stable_uniform, uniform_threshold
+from repro.determinism import stable_hash, stable_uniform, uniform_threshold
 from repro.dns.openintel import DnsSnapshot
 from repro.dns.toplists import FR_CCTLD_ADDED
 from repro.synth import build_universe
-from repro.synth.services import _ServiceBuilder
+from repro.synth.services import ds_adoption_date
 
 _STUDY_MONTHS = list(month_range(STUDY_START, STUDY_END))
 
@@ -109,14 +113,58 @@ def test_threshold_is_the_least_passing_integer(probability):
     name=st.from_regex(r"[a-z0-9]{1,12}\.example", fullmatch=True),
 )
 def test_adoption_month_matches_float_draw(universe, probability, name):
-    config = dataclasses.replace(universe.config, ds_adoption_monthly=probability)
-    builder = _ServiceBuilder(config, universe.population)
+    seed = universe.config.seed
     expected = next(
         (
             second_wednesday(year, month)
             for year, month in _STUDY_MONTHS
-            if stable_uniform(config.seed, "adopt", name, year, month) < probability
+            if stable_uniform(seed, "adopt", name, year, month) < probability
         ),
         None,
     )
-    assert builder._ds_adoption_date(name) == expected
+    assert ds_adoption_date(seed, name, uniform_threshold(probability)) == expected
+
+
+def test_lazy_adoption_equals_eager_draw():
+    # A fresh universe has drawn nothing yet; a snapshot draws for the
+    # domains it queries, then every single-stack spec is asked for in a
+    # shuffled order.
+    fresh = build_universe("tiny")
+    fresh.snapshot_at(REFERENCE_DATE)
+    seed = fresh.config.seed
+    threshold = uniform_threshold(fresh.config.ds_adoption_monthly)
+    specs = [spec for spec in fresh.fabric.domains.values() if spec.single_stack]
+    assert any(spec.v6_only for spec in specs)
+    eager = {spec.name: ds_adoption_date(seed, spec.name, threshold) for spec in specs}
+    assert any(eager.values())
+    random.Random(7).shuffle(specs)
+    for spec in specs:
+        adoption = eager[spec.name]
+        if spec.v6_only or adoption is None:
+            assert not fresh.dual_stack_on(spec, datetime.date(2100, 1, 1))
+            continue
+        assert not fresh.dual_stack_on(spec, adoption - datetime.timedelta(days=1))
+        assert fresh.dual_stack_on(spec, adoption)
+
+
+#: Key parts: ints, bools, None, floats, ASCII and non-ASCII strings
+#: (no lone surrogates: ``repr`` escapes them), and tuples of these.
+_KEY_PARTS = st.recursive(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+        st.text(alphabet="aé漢🦊\x1f'", max_size=4),
+    ),
+    lambda inner: st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+@given(parts=st.lists(_KEY_PARTS, max_size=6))
+def test_stable_hash_digests_part_by_part_key_bytes(parts):
+    old_key = b"".join([repr(part).encode() + b"\x1f" for part in parts])
+    digest = hashlib.blake2b(old_key, digest_size=8).digest()
+    assert stable_hash(*parts) == int.from_bytes(digest, "little")

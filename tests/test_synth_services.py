@@ -179,8 +179,8 @@ class TestDomainSpecs:
 
     def test_singlestack_ratio_roughly_respected(self, tiny_universe):
         specs = list(tiny_universe.fabric.domains.values())
-        ds_native = sum(1 for s in specs if s.ds_adoption is None and not s.v6_only)
-        singlestack = sum(1 for s in specs if s.ds_adoption is not None or s.v6_only)
+        ds_native = sum(1 for s in specs if not s.single_stack)
+        singlestack = sum(1 for s in specs if s.single_stack)
         ratio = singlestack / ds_native
         target = tiny_universe.config.singlestack_ratio
         assert 0.5 * target < ratio < 1.8 * target
@@ -202,5 +202,5 @@ class TestDomainSpecs:
         ]
         assert oneshots
         for spec in oneshots:
-            if spec.ds_adoption is None:  # base DS domains carry the month
+            if not spec.single_stack:  # base DS domains carry the month
                 assert spec.oneshot_month is not None
