@@ -347,6 +347,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.detection import detect_with_index
     from repro.core.siblings import SiblingSet
     from repro import publish
+    from repro.obs.tracing import trace
     from repro.synth import build_universe
 
     universe = build_universe(args.scenario)
@@ -390,29 +391,30 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    stream = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if args.format == "csv":
-            publish.write_csv(published, stream, REFERENCE_DATE)
-        elif args.format == "jsonl":
-            publish.write_jsonl(published, stream, REFERENCE_DATE)
-        else:
-            stream.write(
-                f"{len(published)} sibling pairs "
-                f"(perfect: {siblings.perfect_match_share:.1%})\n"
-            )
-            for pair in published:
-                org = {True: "same-org", False: "diff-org", None: "?"}[pair.same_org]
+    with trace("publish.write", items=len(published)):
+        stream = open(args.output, "w") if args.output else sys.stdout
+        try:
+            if args.format == "csv":
+                publish.write_csv(published, stream, REFERENCE_DATE)
+            elif args.format == "jsonl":
+                publish.write_jsonl(published, stream, REFERENCE_DATE)
+            else:
                 stream.write(
-                    f"{str(pair.v4_prefix):<22} {str(pair.v6_prefix):<30} "
-                    f"J={pair.jaccard:<8.3f} domains={pair.shared_domains:<5d} "
-                    f"{org}"
-                    + (f" rov={pair.rov_status}" if pair.rov_status else "")
-                    + "\n"
+                    f"{len(published)} sibling pairs "
+                    f"(perfect: {siblings.perfect_match_share:.1%})\n"
                 )
-    finally:
-        if args.output:
-            stream.close()
+                org = {True: "same-org", False: "diff-org", None: "?"}
+                for pair in published:
+                    stream.write(
+                        f"{str(pair.v4_prefix):<22} {str(pair.v6_prefix):<30} "
+                        f"J={pair.jaccard:<8.3f} domains={pair.shared_domains:<5d} "
+                        f"{org[pair.same_org]}"
+                        + (f" rov={pair.rov_status}" if pair.rov_status else "")
+                        + "\n"
+                    )
+        finally:
+            if args.output:
+                stream.close()
     if args.stats:
         _print_stage_stats()
     return 0

@@ -171,9 +171,7 @@ def detect_with_index(
     from repro.core.substrate import get_substrate
     from repro.obs.tracing import trace
 
-    with trace("step12.build_index") as span:
-        index = build_index(snapshot, annotator)
-        span.add_items(len(index.domain_v4_prefixes))
+    index = build_index(snapshot, annotator)
     engine = get_substrate(substrate)
     with trace("step34.select") as span:
         result = engine.select(index, metric=metric, mode=mode)

@@ -33,6 +33,7 @@ from repro.bgp.routeviews import PrefixAnnotator
 from repro.dns.openintel import DnsSnapshot, SnapshotDelta
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
+from repro.obs.tracing import trace
 
 #: How many :class:`IndexDelta` entries an index keeps for view patching;
 #: a cached view lagging further behind simply rebuilds from scratch.
@@ -392,12 +393,16 @@ def build_index_from_entries(
 def build_index(
     snapshot: DnsSnapshot, annotator: PrefixAnnotator
 ) -> PrefixDomainIndex:
-    """Extract DS domains and group them by annotated prefix."""
-    return build_index_from_entries(
-        snapshot.date,
-        (
-            (o.domain, o.v4_addresses, o.v6_addresses)
-            for o in snapshot.dual_stack_observations()
-        ),
-        annotator,
-    )
+    """Extract DS domains and group them by annotated prefix (Steps 1-2;
+    every full build is one ``step12.build_index`` stage call)."""
+    with trace("step12.build_index") as span:
+        index = build_index_from_entries(
+            snapshot.date,
+            (
+                (o.domain, o.v4_addresses, o.v6_addresses)
+                for o in snapshot.dual_stack_observations()
+            ),
+            annotator,
+        )
+        span.add_items(len(index.domain_v4_prefixes))
+    return index

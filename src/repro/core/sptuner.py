@@ -31,6 +31,7 @@ from repro.core.siblings import SiblingPair, SiblingSet
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
 from repro.nettypes.trie import PatriciaTrie, union_of_frozensets
+from repro.obs.tracing import trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,11 +188,12 @@ class SpTunerMS:
         """Apply the tuner to every pair; deduplicates refined pairs that
         multiple inputs converge on."""
         tuned = SiblingSet(siblings.date)
-        for pair in siblings:
-            for refined in self.tune_pair(pair.v4_prefix, pair.v6_prefix):
-                existing = tuned.get(refined.v4_prefix, refined.v6_prefix)
-                if existing is None or refined.similarity > existing.similarity:
-                    tuned.add(refined)
+        with trace("sptuner.tune", items=len(siblings)):
+            for pair in siblings:
+                for refined in self.tune_pair(pair.v4_prefix, pair.v6_prefix):
+                    existing = tuned.get(refined.v4_prefix, refined.v6_prefix)
+                    if existing is None or refined.similarity > existing.similarity:
+                        tuned.add(refined)
         return tuned
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, TextIO
 from repro.analysis.organizations import pair_origins
 from repro.core.siblings import SiblingSet
 from repro.nettypes.prefix import Prefix
+from repro.obs.tracing import trace
 from repro.rpki.pair_status import classify_pair
 from repro.rpki.repository import RpkiRepository
 from repro.synth.universe import Universe
@@ -86,32 +87,33 @@ def enrich_pairs(
     repository: RpkiRepository | None = None,
 ) -> list[PublishedPair]:
     """Attach organization and ROV metadata to every pair."""
-    rib = universe.rib_at(date)
-    published: list[PublishedPair] = []
-    for pair in sorted(siblings, key=lambda p: (p.v4_prefix, p.v6_prefix)):
-        origins = pair_origins(universe, pair, date)
-        same_org = origins.same_org if origins.v4_asn is not None else None
-        rov_status = None
-        if repository is not None:
-            route4 = rib.route_for_prefix(pair.v4_prefix)
-            route6 = rib.route_for_prefix(pair.v6_prefix)
-            if route4 is not None and route6 is not None:
-                rov_status = classify_pair(
-                    repository.validate(route4.prefix, route4.origin, date),
-                    repository.validate(route6.prefix, route6.origin, date),
-                ).value
-        published.append(
-            PublishedPair(
-                v4_prefix=pair.v4_prefix,
-                v6_prefix=pair.v6_prefix,
-                jaccard=pair.similarity,
-                shared_domains=len(pair.shared_domains),
-                v4_domains=pair.v4_domain_count,
-                v6_domains=pair.v6_domain_count,
-                same_org=same_org,
-                rov_status=rov_status,
+    with trace("publish.enrich", items=len(siblings)):
+        rib = universe.rib_at(date)
+        published: list[PublishedPair] = []
+        for pair in sorted(siblings, key=lambda p: (p.v4_prefix, p.v6_prefix)):
+            origins = pair_origins(universe, pair, date)
+            same_org = origins.same_org if origins.v4_asn is not None else None
+            rov_status = None
+            if repository is not None:
+                route4 = rib.route_for_prefix(pair.v4_prefix)
+                route6 = rib.route_for_prefix(pair.v6_prefix)
+                if route4 is not None and route6 is not None:
+                    rov_status = classify_pair(
+                        repository.validate(route4.prefix, route4.origin, date),
+                        repository.validate(route6.prefix, route6.origin, date),
+                    ).value
+            published.append(
+                PublishedPair(
+                    v4_prefix=pair.v4_prefix,
+                    v6_prefix=pair.v6_prefix,
+                    jaccard=pair.similarity,
+                    shared_domains=len(pair.shared_domains),
+                    v4_domains=pair.v4_domain_count,
+                    v6_domains=pair.v6_domain_count,
+                    same_org=same_org,
+                    rov_status=rov_status,
+                )
             )
-        )
     return published
 
 

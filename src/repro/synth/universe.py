@@ -498,8 +498,9 @@ class Universe:
         return rib
 
     def annotator_at(self, when: datetime.date) -> PrefixAnnotator:
-        rib = self.rib_at(when)
-        return PrefixAnnotator(rib, rib, missing_fraction=0.01)
+        with trace("synth.annotator_at"):
+            rib = self.rib_at(when)
+            return PrefixAnnotator(rib, rib, missing_fraction=0.01)
 
     # -- ground truth ----------------------------------------------------------------------------
 

@@ -143,6 +143,58 @@ def test_detect_stats_cli(fresh_registry, capsys):
         assert row.split()[1] == "1", row  # one build, one snapshot
 
 
+def _stage_calls(err: str) -> dict[str, int]:
+    """Stage name → calls, from a rendered ``--stats`` table."""
+    return {
+        line.split()[0]: int(line.split()[1])
+        for line in err.splitlines()[2:]
+        if len(line.split()) > 1 and line.split()[1].isdigit()
+    }
+
+
+def test_detect_stats_cli_lists_every_layer(fresh_registry, capsys):
+    from repro.cli import main
+
+    assert main(["detect", "--scenario", "tiny", "--tune", "28,96", "--stats"]) == 0
+    calls = _stage_calls(capsys.readouterr().err)
+    for stage in (
+        "synth.build_universe",
+        "synth.snapshot_at",
+        "synth.annotator_at",
+        "step12.build_index",
+        "step34.select",
+        "sptuner.tune",
+        "publish.enrich",
+        "publish.write",
+    ):
+        assert calls.get(stage) == 1, (stage, calls)
+
+
+def test_detect_series_incremental_stats_count_every_full_build(
+    fresh_registry, capsys, tmp_path
+):
+    from repro.analysis.pipeline import paper_offsets
+    from repro.cli import main
+    from repro.synth import build_universe
+
+    dates = [date for _, date in paper_offsets(REFERENCE_DATE)]
+    universe = build_universe("tiny")
+    signatures = [universe.annotator_at(date).signature() for date in dates]
+    # The incremental loop rebuilds whenever the routing table changed.
+    full_builds = 1 + sum(a != b for a, b in zip(signatures, signatures[1:]))
+    argv = [
+        "detect-series", "--scenario", "tiny", "--offsets", "paper",
+        "--incremental", "--stats", "--format", "csv",
+        "-o", str(tmp_path / "series.csv"),
+    ]
+    assert main(argv) == 0
+    calls = _stage_calls(capsys.readouterr().err)
+    assert calls["step12.build_index"] == full_builds
+    assert calls["step12.build_index"] + calls.get("series.delta_apply", 0) == len(
+        dates
+    )
+
+
 # -- worker endpoints --------------------------------------------------------
 
 
