@@ -265,27 +265,33 @@ class PatriciaTrie:
         return self._longest_match(query.value, query.length)
 
     def _longest_match(self, key: int, length: int) -> tuple[Prefix, V] | None:
-        bits = self._bits
         best: _Node | None = None
+        for best in self._stored_on_path(key, length):
+            pass
+        if best is None:
+            return None
+        return best.prefix, best.value  # type: ignore[return-value]
+
+    def _stored_on_path(self, key: int, length: int) -> Iterator[_Node]:
+        """The nodes holding a value whose prefix contains the /*length*
+        prefix with network bits *key*, shortest first."""
+        bits = self._bits
         node = self._root
         while True:
             if node.has_value:
-                best = node
+                yield node
             node_length = node.prefix.length
             if node_length >= length:
-                break
+                return
             child = node.children[(key >> (bits - 1 - node_length)) & 1]
             if child is None:
-                break
+                return
             child_length = child.prefix.length
             if child_length > length or (key ^ child.prefix.value) >> (
                 bits - child_length
             ):
-                break
+                return
             node = child
-        if best is None:
-            return None
-        return best.prefix, best.value  # type: ignore[return-value]
 
     def lookup_value(self, query: Prefix, default: V | None = None) -> V | None:
         found = self.lookup(query)
@@ -304,27 +310,10 @@ class PatriciaTrie:
     def covering(self, query: Prefix) -> list[tuple[Prefix, V]]:
         """All stored prefixes containing *query*, shortest first."""
         self._check_version(query)
-        bits = self._bits
-        key = query.value
-        length = query.length
-        found: list[tuple[Prefix, V]] = []
-        node = self._root
-        while True:
-            if node.has_value:
-                found.append((node.prefix, node.value))  # type: ignore[arg-type]
-            node_length = node.prefix.length
-            if node_length >= length:
-                break
-            child = node.children[(key >> (bits - 1 - node_length)) & 1]
-            if child is None:
-                break
-            child_length = child.prefix.length
-            if child_length > length or (key ^ child.prefix.value) >> (
-                bits - child_length
-            ):
-                break
-            node = child
-        return found
+        return [
+            (node.prefix, node.value)  # type: ignore[misc]
+            for node in self._stored_on_path(query.value, query.length)
+        ]
 
     # -- subtree navigation ------------------------------------------------------
 
