@@ -607,7 +607,7 @@ class _ServiceBuilder:
                         sources=self._sources(name, key_bytes(name)),
                         created=max(expansion_date, deployment.created),
                         pattern=VisibilityPattern.STABLE,
-                            noise_v6=deployment.alt_v6_block,
+                        noise_v6=deployment.alt_v6_block,
                         alias=None,
                     )
                 )
