@@ -57,14 +57,20 @@ def parse_ipv4(text: str) -> int:
     """Parse dotted-quad *text* into an integer.
 
     Only the canonical four-octet decimal form is accepted; leading zeros
-    are rejected (they are ambiguous between octal and decimal readings).
+    are rejected (they are ambiguous between octal and decimal readings),
+    and so are digits outside ASCII, which ``str.isdigit`` and ``int``
+    would otherwise accept.
     """
     parts = text.split(".")
     if len(parts) != 4:
         raise AddressError(f"invalid IPv4 address: {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit() or (len(part) > 1 and part[0] == "0") or len(part) > 3:
+        if (
+            not (part.isascii() and part.isdigit())
+            or (len(part) > 1 and part[0] == "0")
+            or len(part) > 3
+        ):
             raise AddressError(f"invalid IPv4 octet {part!r} in {text!r}")
         octet = int(part)
         if octet > 255:

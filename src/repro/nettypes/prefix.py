@@ -62,7 +62,7 @@ class Prefix:
         network, slash, length_text = text.partition("/")
         version, value = _addr.parse_address(network)
         if slash:
-            if not length_text.isdigit():
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise PrefixError(f"invalid prefix length in {text!r}")
             length = int(length_text)
         else:

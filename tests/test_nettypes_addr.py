@@ -20,6 +20,11 @@ from repro.nettypes.addr import (
     parse_ipv4,
     parse_ipv6,
 )
+from repro.nettypes.prefix import Prefix, PrefixError
+
+#: Characters ``str.isdigit`` accepts that are not ASCII digits: the
+#: Arabic-Indic, fullwidth and Devanagari digits, and superscripts.
+UNICODE_DIGITS = "\u0660\u0661\u0668\uff10\uff11\uff18\u0967\u00b2\u00b9"
 
 
 class TestParseIpv4:
@@ -95,6 +100,40 @@ class TestParseIpv6:
     @given(st.integers(min_value=0, max_value=2**128 - 1))
     def test_format_is_canonical_rfc5952(self, value):
         assert format_ipv6(value) == str(ipaddress.IPv6Address(value))
+
+
+class TestNonAsciiDigits:
+    """Only ASCII digits make an octet or a prefix length."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["\u0661.2.3.4", "\uff11.2.3.4", "1.2.3.\u0968", "10.0.0.\u00b2",
+         "::ffff:\uff11.2.3.4"],
+    )
+    def test_parse_address_rejects(self, bad):
+        with pytest.raises(AddressError):
+            parse_address(bad)
+
+    @pytest.mark.parametrize("bad", ["10.0.0.0/\u0668", "10.0.0.0/\u00b2",
+                                     "2001:db8::/\uff13\uff12"])
+    def test_prefix_length_rejects(self, bad):
+        with pytest.raises(PrefixError):
+            Prefix.parse(bad)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    def test_one_unicode_digit_spoils_the_text(self, value, data):
+        text = format_ipv4(value)
+        spots = [i for i, ch in enumerate(text) if ch.isdigit()]
+        spot = data.draw(st.sampled_from(spots))
+        digit = data.draw(st.sampled_from(UNICODE_DIGITS))
+        spoiled = text[:spot] + digit + text[spot + 1:]
+        with pytest.raises(AddressError):
+            parse_address(spoiled)
+        with pytest.raises(AddressError):
+            parse_address("::ffff:" + spoiled)
 
 
 class TestParseAddress:
