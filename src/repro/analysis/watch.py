@@ -104,11 +104,25 @@ def write_snapshot_file(
     return path
 
 
-def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
+def read_snapshot_file(
+    path: "str | pathlib.Path",
+    known: "dict[str, tuple[int, int]] | None" = None,
+    parsed: "dict[str, tuple[int, int]] | None" = None,
+) -> DnsSnapshot:
     """Parse one snapshot file; raises :class:`WatchError` on anything
     malformed (bad JSON, wrong schema version, a domain that is not a
     non-empty string, addresses of the wrong family in a ``v4``/``v6``
-    bucket)."""
+    bucket).
+
+    *known* maps address texts already accepted by
+    :func:`~repro.nettypes.addr.parse_address` to their ``(version,
+    value)``, so a text seen before is not parsed again.  Every string
+    address of this file that parses is recorded in *parsed*; a caller
+    that keeps *parsed* only when the call returns holds exactly the
+    texts of the last clean file.  Neither changes the result.
+    """
+    known = {} if known is None else known
+    parsed = {} if parsed is None else parsed
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -127,8 +141,8 @@ def read_snapshot_file(path: "str | pathlib.Path") -> DnsSnapshot:
         observations = [
             DomainObservation(
                 _parse_domain(entry["domain"], path),
-                _parse_family(entry.get("v4", ()), 4, path),
-                _parse_family(entry.get("v6", ()), 6, path),
+                _parse_family(entry.get("v4", ()), 4, path, known, parsed),
+                _parse_family(entry.get("v6", ()), 6, path, known, parsed),
             )
             for entry in payload["observations"]
         ]
@@ -146,20 +160,34 @@ def _parse_domain(domain, path: pathlib.Path) -> str:
 
 
 def _parse_family(
-    texts: Iterable[str], version: int, path: pathlib.Path
+    texts: Iterable[str],
+    version: int,
+    path: pathlib.Path,
+    known: dict[str, tuple[int, int]],
+    parsed: dict[str, tuple[int, int]],
 ) -> tuple[int, ...]:
     values = []
     for text in texts:
-        try:
-            parsed_version, value = parse_address(str(text))
-        except AddressError as exc:
-            raise WatchError(f"{path}: bad address {text!r}: {exc}") from exc
-        if parsed_version != version:
+        if isinstance(text, str):
+            address = known.get(text) or parsed.get(text)
+            if address is None:
+                address = _parse_text(text, path)
+            parsed[text] = address
+        else:
+            address = _parse_text(text, path)
+        if address[0] != version:
             raise WatchError(
                 f"{path}: address {text!r} is not IPv{version}"
             )
-        values.append(value)
+        values.append(address[1])
     return tuple(values)
+
+
+def _parse_text(text, path: pathlib.Path) -> tuple[int, int]:
+    try:
+        return parse_address(str(text))
+    except AddressError as exc:
+        raise WatchError(f"{path}: bad address {text!r}: {exc}") from exc
 
 
 # -- snapshot sources --------------------------------------------------------
@@ -174,6 +202,12 @@ class SnapshotDirectorySource:
     mid-write — and abandoned after :data:`MAX_PARSE_RETRIES` attempts;
     every failed attempt is reported through the watcher's
     ``watch.source_errors`` counter via :attr:`errors`.
+
+    Consecutive files repeat most of their address texts, so the source
+    passes the texts of the last file that parsed cleanly to
+    :func:`read_snapshot_file` and parses only the new ones.  The memo
+    holds one file's texts at most; a file that fails leaves it as it
+    was.
     """
 
     def __init__(self, directory: "str | pathlib.Path", pattern: str = "*.json"):
@@ -183,6 +217,7 @@ class SnapshotDirectorySource:
         self.errors = 0
         self._consumed: set[str] = set()
         self._failures: dict[str, int] = {}
+        self._texts: dict[str, tuple[int, int]] = {}
 
     def _pending(self) -> list[pathlib.Path]:
         return sorted(
@@ -199,8 +234,9 @@ class SnapshotDirectorySource:
         """Consume every parseable pending file; date-ordered snapshots."""
         snapshots = []
         for path in self._pending():
+            texts: dict[str, tuple[int, int]] = {}
             try:
-                snapshot = read_snapshot_file(path)
+                snapshot = read_snapshot_file(path, self._texts, texts)
             except WatchError:
                 self.errors += 1
                 failures = self._failures.get(path.name, 0) + 1
@@ -208,6 +244,7 @@ class SnapshotDirectorySource:
                 if failures >= MAX_PARSE_RETRIES:
                     self._consumed.add(path.name)  # give up on this file
                 continue
+            self._texts = texts
             self._consumed.add(path.name)
             self._failures.pop(path.name, None)
             snapshots.append(snapshot)

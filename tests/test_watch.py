@@ -35,6 +35,7 @@ from test_incremental_pipeline import (
     snapshot_from_table,
 )
 
+from repro.analysis import watch as watch_module
 from repro.analysis.pipeline import detect_series
 from repro.analysis.watch import (
     MAX_PARSE_RETRIES,
@@ -301,6 +302,144 @@ class TestDirectorySource:
         write_snapshot_file(snapshot, tmp_path)  # the writer finished
         polled = source.poll()
         assert [s.date for s in polled] == [snapshot.date]
+
+
+#: Address values for the memo property: valid IPv4 and IPv6 texts, texts
+#: ``parse_address`` rejects (non-ASCII digits included) and non-string
+#: JSON values, which the source never memoises.
+_V4_TEXTS = ["192.0.2.9", "198.51.100.7", "203.0.113.1"]
+_V6_TEXTS = ["2001:db8::9", "2001:db8::1:0", "::ffff:192.0.2.9"]
+_BAD_TEXTS = ["1.2.3", "", "\u0661.2.3.4", "10.0.0.\uff11", "2001:db8::g"]
+_NON_STRINGS = [7, None, True, 1.5, ["192.0.2.9"], {"v4": "192.0.2.9"}]
+
+
+def _outcome(path):
+    """What :func:`read_snapshot_file` alone makes of *path*."""
+    try:
+        return _contents(read_snapshot_file(path))
+    except WatchError as exc:
+        return f"WatchError: {exc}"
+
+
+def _contents(snapshot):
+    return snapshot.date, {
+        o.domain: (o.v4_addresses, o.v6_addresses)
+        for o in snapshot.observations()
+    }
+
+
+def _read_through_one_source(directory):
+    """Poll *directory* once; each file's snapshot or ``WatchError``, in
+    the order the source read them."""
+    seen = []
+    original = watch_module.read_snapshot_file
+
+    def recording(path, *memo):
+        try:
+            snapshot = original(path, *memo)
+        except WatchError as exc:
+            seen.append((path.name, f"WatchError: {exc}"))
+            raise
+        seen.append((path.name, _contents(snapshot)))
+        return snapshot
+
+    source = SnapshotDirectorySource(directory)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(watch_module, "read_snapshot_file", recording)
+        polled = source.poll()
+    return seen, polled, source.errors
+
+
+def _memo_file():
+    """One snapshot document: usually well-formed, sometimes with any
+    address value in either bucket, sometimes not JSON at all."""
+    good = st.fixed_dictionaries({
+        "domain": st.sampled_from(["a.example", "b.example", "c.example"]),
+        "v4": st.lists(st.sampled_from(_V4_TEXTS), max_size=3),
+        "v6": st.lists(st.sampled_from(_V6_TEXTS), max_size=3),
+    })
+    anything = st.sampled_from(_V4_TEXTS + _V6_TEXTS + _BAD_TEXTS + _NON_STRINGS)
+    mixed = st.fixed_dictionaries({
+        "domain": st.sampled_from(["a.example", "d.example"]),
+        "v4": st.lists(anything, max_size=3),
+        "v6": st.lists(anything, max_size=3),
+    })
+    observations = st.lists(good, max_size=4) | st.lists(good | mixed, max_size=4)
+    return st.one_of(
+        observations.map(lambda rows: {"observations": rows}),
+        st.just(None),  # written as bytes that are not JSON
+    )
+
+
+class TestAddressMemo:
+    """The source parses each address text once across its files: the
+    texts of the last clean file are carried into the next read.  That
+    changes no result — every file reads as it does alone."""
+
+    @staticmethod
+    def _write(directory, documents):
+        for day, document in enumerate(documents, start=1):
+            path = directory / f"2024-09-{day:02d}.json"
+            if document is None:
+                path.write_text('{"format_version": 1, "date": "2024-09')
+                continue
+            path.write_text(json.dumps({
+                "format_version": 1,
+                "date": f"2024-09-{day:02d}",
+                **document,
+            }))
+
+    def _check(self, directory, documents):
+        self._write(directory, documents)
+        seen, polled, errors = _read_through_one_source(directory)
+        paths = sorted(directory.glob("*.json"))
+        assert [name for name, _ in seen] == [path.name for path in paths]
+        for (_, got), path in zip(seen, paths):
+            assert got == _outcome(path)
+        good = [got for _, got in seen if not isinstance(got, str)]
+        assert [_contents(snapshot) for snapshot in polled] == good
+        assert errors == len(seen) - len(good)
+
+    def test_family_check_runs_on_memo_hits(self, tmp_path):
+        self._check(tmp_path, [
+            {"observations": [{"domain": "a.example", "v4": ["192.0.2.9"],
+                               "v6": ["2001:db8::9"]}]},
+            # The IPv4 text of the last file, now in the v6 bucket.
+            {"observations": [{"domain": "a.example", "v4": [],
+                               "v6": ["192.0.2.9"]}]},
+            {"observations": [{"domain": "a.example", "v4": ["2001:db8::9"],
+                               "v6": []}]},
+        ])
+        outcomes = [_outcome(path) for path in sorted(tmp_path.glob("*.json"))]
+        assert "is not IPv6" in outcomes[1]
+        assert "is not IPv4" in outcomes[2]
+
+    def test_bad_file_between_good_ones_keeps_the_memo(self, tmp_path):
+        self._check(tmp_path, [
+            {"observations": [{"domain": "a.example", "v4": ["192.0.2.9"],
+                               "v6": ["2001:db8::9"]}]},
+            # Parses a new text, then fails on the next one.
+            {"observations": [{"domain": "a.example",
+                               "v4": ["198.51.100.7", "\u0661.2.3.4"],
+                               "v6": ["2001:db8::9"]}]},
+            None,
+            {"observations": [{"domain": "a.example", "v4": ["198.51.100.7"],
+                               "v6": ["2001:db8::9"]}]},
+        ])
+
+    def test_non_string_values_are_parsed_every_time(self, tmp_path):
+        self._check(tmp_path, [
+            {"observations": [{"domain": "a.example", "v4": [7],
+                               "v6": ["2001:db8::9"]}]},
+            {"observations": [{"domain": "a.example", "v4": ["192.0.2.9"],
+                               "v6": [["2001:db8::9"]]}]},
+            {"observations": [{"domain": "a.example", "v4": ["192.0.2.9"],
+                               "v6": ["2001:db8::9"]}]},
+        ])
+
+    @given(documents=st.lists(_memo_file(), min_size=2, max_size=6))
+    def test_one_source_reads_every_file_as_alone(self, tmp_path_factory, documents):
+        self._check(tmp_path_factory.mktemp("memo"), documents)
 
 
 class TestWatcher:
