@@ -94,6 +94,10 @@ class PrefixDomainIndex:
     _delta_log: list[IndexDelta] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: The prefix entries :meth:`content_signature` used last time.
+    _signature_entries: dict[Prefix, tuple[int, int, bytes]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def domain_count(self) -> int:
@@ -125,27 +129,44 @@ class PrefixDomainIndex:
         """
         import hashlib
 
-        # Each prefix is formatted once per call: most are shared by
-        # many domains, and formatting dominates the hash.
-        texts: dict[Prefix, bytes] = {}
+        # Formatting dominates the hash, and consecutive generations
+        # share most prefixes: each prefix's (value, length, text) entry
+        # is carried over from the previous call, and each call keeps
+        # only the entries it used.  Sorting the entries orders a
+        # domain's prefixes by (value, length), which within one family
+        # is ``Prefix`` order.
+        previous = self._signature_entries
+        entries: dict[Prefix, tuple[int, int, bytes]] = {}
 
-        def text(prefix: Prefix) -> bytes:
-            found = texts.get(prefix)
+        def entry(prefix: Prefix) -> tuple[int, int, bytes]:
+            found = entries.get(prefix)
             if found is None:
-                found = texts[prefix] = str(prefix).encode("ascii") + b";"
+                found = previous.get(prefix)
+                if found is None:
+                    found = (
+                        prefix.value,
+                        prefix.length,
+                        str(prefix).encode("ascii") + b";",
+                    )
+                entries[prefix] = found
             return found
+
+        def encoded(prefixes: set[Prefix]) -> bytes:
+            if len(prefixes) == 1:  # most domains, on either family
+                (prefix,) = prefixes
+                return entry(prefix)[2]
+            return b"".join([found[2] for found in sorted(map(entry, prefixes))])
 
         digest = hashlib.sha256()
         for domain in sorted(self.domain_v4_prefixes):
             digest.update(domain.encode("utf-8"))
             digest.update(b"\x00")
-            for prefix in sorted(self.domain_v4_prefixes[domain]):
-                digest.update(text(prefix))
+            digest.update(encoded(self.domain_v4_prefixes[domain]))
             digest.update(b"\x01")
-            for prefix in sorted(self.domain_v6_prefixes[domain]):
-                digest.update(text(prefix))
+            digest.update(encoded(self.domain_v6_prefixes[domain]))
             digest.update(b"\x02")
         digest.update(str(self.dropped_domains).encode("ascii"))
+        self._signature_entries = entries
         return digest.hexdigest()
 
     # -- mutation protocol ----------------------------------------------------

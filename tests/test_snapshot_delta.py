@@ -335,5 +335,85 @@ class TestEmptyVersusMissing:
         assert index.content_signature() == full.content_signature()
 
 
+def _signature_by_definition(index) -> str:
+    """The content signature spelt out: every prefix formatted, sorted in
+    ``Prefix`` order, no carried state."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for domain in sorted(index.domain_v4_prefixes):
+        digest.update(domain.encode("utf-8") + b"\x00")
+        for prefix in sorted(index.domain_v4_prefixes[domain]):
+            digest.update(str(prefix).encode("ascii") + b";")
+        digest.update(b"\x01")
+        for prefix in sorted(index.domain_v6_prefixes[domain]):
+            digest.update(str(prefix).encode("ascii") + b";")
+        digest.update(b"\x02")
+    digest.update(str(index.dropped_domains).encode("ascii"))
+    return digest.hexdigest()
+
+
+class TestContentSignatureCache:
+    """``content_signature`` carries each prefix's text from its previous
+    call; the digest must still be that of a fresh index, and the
+    carried map must hold only the current content's prefixes."""
+
+    # Each date drops prefixes the one before used and re-adds older ones.
+    TABLES = [
+        {"a.example": ([0, 1], [0]), "b.example": ([2], [1, 2])},
+        {"a.example": ([3], [0]), "b.example": ([2], [4])},
+        {"a.example": ([0, 1], [0]), "c.example": ([5, 6, 7], [5])},
+        {"b.example": ([1], [1, 2])},
+        {"a.example": ([0, 1], [0]), "b.example": ([2], [1, 2])},
+    ]
+
+    @staticmethod
+    def _snapshot(day, table):
+        return DnsSnapshot(
+            DATE_0 + datetime.timedelta(days=day),
+            [
+                obs(domain, [v4(pool) for pool in v4_pools],
+                    [v6(pool) for pool in v6_pools])
+                for domain, (v4_pools, v6_pools) in table.items()
+            ],
+        )
+
+    def test_delta_chain_matches_fresh_builds(self):
+        annotator = make_annotator()
+        snapshots = [self._snapshot(day, t) for day, t in enumerate(self.TABLES)]
+        index = build_index(snapshots[0], annotator)
+        assert index.content_signature() == _signature_by_definition(index)
+        for older, newer in zip(snapshots, snapshots[1:]):
+            index.apply_delta(older.delta_to(newer), annotator)
+            fresh = build_index(newer, annotator)
+            assert index.content_signature() == fresh.content_signature()
+            assert index.content_signature() == _signature_by_definition(fresh)
+            current = set(index.v4_domains) | set(index.v6_domains)
+            assert set(index._signature_entries) == current
+
+    def test_prefixes_sort_by_network_then_length(self):
+        """A domain's prefixes keep ``Prefix`` order: by network value,
+        then shortest first — not by length."""
+        texts = ("20.0.0.0/16", "20.0.0.0/24", "20.1.0.0/16",
+                 "2400:db::/32", "2400:db::/48", "2400:dc::/32")
+        rib = Rib()
+        for asn, text in enumerate(texts, start=64500):
+            rib.announce(Prefix.parse(text), asn)
+        annotator = PrefixAnnotator(rib, missing_fraction=0.0)
+        v4_hosts = ("20.0.0.1", "20.0.1.1", "20.1.0.1")
+        v6_hosts = ("2400:db::1", "2400:db:1::1", "2400:dc::1")
+        index = build_index(
+            DnsSnapshot(DATE_0, [obs(
+                "a.example",
+                [Prefix.parse(text).value for text in v4_hosts],
+                [Prefix.parse(text).value for text in v6_hosts],
+            )]),
+            annotator,
+        )
+        assert len(index.domain_v4_prefixes["a.example"]) == 3
+        assert len(index.domain_v6_prefixes["a.example"]) == 3
+        assert index.content_signature() == _signature_by_definition(index)
+        assert index.content_signature() == _signature_by_definition(index)
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
