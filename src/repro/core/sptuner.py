@@ -60,20 +60,22 @@ def _build_tries(
     index: PrefixDomainIndex,
 ) -> tuple[PatriciaTrie, PatriciaTrie]:
     """Host-route tries: address → frozenset of domains at that address."""
-    at_v4: dict[int, set[str]] = {}
-    at_v6: dict[int, set[str]] = {}
-    for domain, addresses in index.domain_v4_addresses.items():
-        for address in addresses:
-            at_v4.setdefault(address, set()).add(domain)
-    for domain, addresses in index.domain_v6_addresses.items():
-        for address in addresses:
-            at_v6.setdefault(address, set()).add(domain)
-    trie_v4 = PatriciaTrie(IPV4, aggregate=union_of_frozensets)
-    for address, domains in at_v4.items():
-        trie_v4.insert(Prefix.host(IPV4, address), frozenset(domains))
-    trie_v6 = PatriciaTrie(IPV6, aggregate=union_of_frozensets)
-    for address, domains in at_v6.items():
-        trie_v6.insert(Prefix.host(IPV6, address), frozenset(domains))
+    with trace("sptuner.build_tries") as span:
+        at_v4: dict[int, set[str]] = {}
+        at_v6: dict[int, set[str]] = {}
+        for domain, addresses in index.domain_v4_addresses.items():
+            for address in addresses:
+                at_v4.setdefault(address, set()).add(domain)
+        for domain, addresses in index.domain_v6_addresses.items():
+            for address in addresses:
+                at_v6.setdefault(address, set()).add(domain)
+        trie_v4 = PatriciaTrie(IPV4, aggregate=union_of_frozensets)
+        for address, domains in at_v4.items():
+            trie_v4.insert(Prefix.host(IPV4, address), frozenset(domains))
+        trie_v6 = PatriciaTrie(IPV6, aggregate=union_of_frozensets)
+        for address, domains in at_v6.items():
+            trie_v6.insert(Prefix.host(IPV6, address), frozenset(domains))
+        span.add_items(len(at_v4) + len(at_v6))
     return trie_v4, trie_v6
 
 

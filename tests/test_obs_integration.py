@@ -163,6 +163,7 @@ def test_detect_stats_cli_lists_every_layer(fresh_registry, capsys):
         "synth.annotator_at",
         "step12.build_index",
         "step34.select",
+        "sptuner.build_tries",
         "sptuner.tune",
         "publish.enrich",
         "publish.write",
