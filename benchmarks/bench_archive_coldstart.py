@@ -15,7 +15,7 @@ Both legs serve the same published list (the archive is written from
 the CSV's own rows) and must return identical answers; the acceptance
 bar — archive cold-start ≥ 20× the CSV path at the largest (medium)
 scale — is asserted here and recorded in
-``results/archive_coldstart.txt``.
+``timings/archive_coldstart.txt``.
 
 Timing is ``time.perf_counter`` best-of loops (the tests report a
 ratio between two legs); the module still runs once, untimed, under
@@ -33,7 +33,7 @@ from repro.serving.index import SiblingLookupIndex
 from repro.serving.service import SiblingQueryService
 from repro.storage.index_io import append_index
 
-from benchmarks.common import RESULTS_DIR, get_universe
+from benchmarks.common import TIMINGS_DIR, get_universe
 
 SCALES = ("tiny", "small", "medium")
 ROUNDS = 7
@@ -65,7 +65,7 @@ def _best_of(func, rounds: int = ROUNDS) -> tuple[float, object]:
 
 
 def _flush_results() -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    TIMINGS_DIR.mkdir(exist_ok=True)
     header = [
         "serve cold-start: archive mmap attach vs CSV parse+compile",
         "=" * 58,
@@ -75,7 +75,7 @@ def _flush_results() -> None:
         f"{'scale':<8} {'pairs':>6} {'csv':>12} {'archive':>12} "
         f"{'speedup':>9}",
     ]
-    (RESULTS_DIR / "archive_coldstart.txt").write_text(
+    (TIMINGS_DIR / "archive_coldstart.txt").write_text(
         "\n".join(header + _LINES) + "\n"
     )
 

@@ -14,7 +14,7 @@ re-accumulation of unchanged domains, not from parallelism.
 
 Every timed run also cross-checks bit-identity per date (the cheap
 mapping comparison from the tier-1 suites), so a timing run doubles as
-an equivalence check.  Results land in ``results/incremental_series.txt``.
+an equivalence check.  Results land in ``timings/incremental_series.txt``.
 """
 
 import datetime
@@ -31,7 +31,7 @@ from repro.dns.openintel import DnsSnapshot, DomainObservation
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
 
-from benchmarks.common import RESULTS_DIR
+from benchmarks.common import TIMINGS_DIR
 
 #: (domains, memberships per family) per scale; pair rows per date are
 #: domains * fan^2.
@@ -166,7 +166,7 @@ def _best_of(fn, repeats: int = REPEATS):
 
 
 def _flush_results() -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    TIMINGS_DIR.mkdir(exist_ok=True)
     header = [
         "full vs incremental detect-series",
         "=" * 33,
@@ -177,7 +177,7 @@ def _flush_results() -> None:
         f"{'scale':<8} {'domains':>8} {'full':>10} {'incremental':>12} "
         f"{'speedup':>8}",
     ]
-    (RESULTS_DIR / "incremental_series.txt").write_text(
+    (TIMINGS_DIR / "incremental_series.txt").write_text(
         "\n".join(header + _LINES) + "\n"
     )
 

@@ -12,7 +12,7 @@ clock drift hits both equally.
 The <3% bar is asserted on every host with 2+ cores — on a shared
 1-core container scheduler noise swamps a single-digit-percent signal,
 so the measured ratio is recorded with a skip note instead.  Results
-land in ``results/obs_overhead.txt``.  The module still runs once,
+land in ``timings/obs_overhead.txt``.  The module still runs once,
 untimed, under CI's ``--benchmark-disable`` smoke job.
 """
 
@@ -28,7 +28,7 @@ from repro.nettypes.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import set_enabled, set_registry
 
-from benchmarks.common import RESULTS_DIR
+from benchmarks.common import TIMINGS_DIR
 
 #: Dense index shape: domains x v4 fan x v6 fan (~512k pair rows).
 N_DOMAINS, FAN_V4, FAN_V6 = 8_000, 8, 8
@@ -105,8 +105,8 @@ def test_instrumentation_overhead_under_bar():
             else "recorded, not asserted on a 1-core host)"
         ),
     ]
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "obs_overhead.txt").write_text("\n".join(lines) + "\n")
+    TIMINGS_DIR.mkdir(exist_ok=True)
+    (TIMINGS_DIR / "obs_overhead.txt").write_text("\n".join(lines) + "\n")
 
     if asserted:
         assert ratio < OVERHEAD_BAR, (

@@ -6,7 +6,7 @@ pipeline at three deployment-cast scales — 1×, 10×, and 100× the script
 default (24 → 2,400 deployments, i.e. 10–100× the tier-1 test scale) —
 and records per-run wall time plus the exact precision/recall/F1
 against the generator's ground-truth ledger into
-``results/scenario_grid.txt``.
+``timings/scenario_grid.txt``.
 
 Two legs:
 
@@ -29,7 +29,7 @@ from repro.synth.events import EVENT_SCENARIOS, build_event_universe
 from repro.synth.scenarios import scenario
 from repro.synth.topology import build_population
 
-from benchmarks.common import RESULTS_DIR
+from benchmarks.common import TIMINGS_DIR
 
 SCALES = (1, 10, 100)
 
@@ -52,7 +52,7 @@ _LINES: dict[tuple[int, str], str] = {}
 
 
 def _flush_results() -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    TIMINGS_DIR.mkdir(exist_ok=True)
     header = [
         "scripted event scenario grid",
         "=" * 28,
@@ -66,7 +66,7 @@ def _flush_results() -> None:
         f"{'wall':>9} {'prec':>7} {'recall':>7} {'f1':>7} {'traps':>6}",
     ]
     lines = [_LINES[key] for key in sorted(_LINES)]
-    (RESULTS_DIR / "scenario_grid.txt").write_text(
+    (TIMINGS_DIR / "scenario_grid.txt").write_text(
         "\n".join(header + lines) + "\n"
     )
 

@@ -4,7 +4,7 @@ Measures point and batch query throughput of the compiled
 :class:`SiblingLookupIndex` against :func:`scan_lookup` — the O(pairs)
 per-query brute force the CLI ``lookup`` effectively was before the
 serving subsystem — at three universe scales, plus the one-off compile,
-archive encode and mmap attach costs.  Results land in ``results/serving.txt``.
+archive encode and mmap attach costs.  Results land in ``timings/serving.txt``.
 
 Timing is done with ``time.perf_counter`` loops rather than
 pytest-benchmark rounds because each test reports a *ratio* between
@@ -29,7 +29,7 @@ from repro.serving.index import SiblingLookupIndex, scan_lookup
 from repro.storage.archive import ArchiveWriter
 from repro.storage.index_io import KIND, index_segments, load_mapped_index
 
-from benchmarks.common import RESULTS_DIR, get_universe
+from benchmarks.common import TIMINGS_DIR, get_universe
 
 SCALES = ("tiny", "small", "medium")
 
@@ -75,7 +75,7 @@ def _rate(elapsed: float, count: int) -> str:
 
 
 def _flush_results() -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    TIMINGS_DIR.mkdir(exist_ok=True)
     header = [
         "serving lookup throughput: compiled index vs linear scan",
         "=" * 56,
@@ -83,7 +83,7 @@ def _flush_results() -> None:
         f"{'scale':<8} {'pairs':>6} {'leg':<14} {'per-query':>12} "
         f"{'throughput':>16} {'speedup':>9}",
     ]
-    (RESULTS_DIR / "serving.txt").write_text(
+    (TIMINGS_DIR / "serving.txt").write_text(
         "\n".join(header + _LINES) + "\n"
     )
 

@@ -19,7 +19,7 @@ SLO is asserted on the steady-state (delta) generations:
 
 Each replayed generation is also cross-checked pair-identical to a
 batch ``detect_series`` run, so the timing run doubles as an
-equivalence check.  Results land in ``results/watch_replay.txt``.
+equivalence check.  Results land in ``timings/watch_replay.txt``.
 """
 
 import datetime
@@ -40,7 +40,7 @@ from repro.serving.service import SiblingQueryService
 from repro.storage import substrate_io
 from repro.storage.archive import ArchiveReader
 
-from benchmarks.common import RESULTS_DIR
+from benchmarks.common import TIMINGS_DIR
 
 #: (domains, memberships per family) per scale.
 SCALES = {
@@ -142,7 +142,7 @@ def _build_series(scale: str):
 
 
 def _flush_results() -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    TIMINGS_DIR.mkdir(exist_ok=True)
     header = [
         "repro watch churn replay: per-generation publish lag",
         "=" * 52,
@@ -154,7 +154,7 @@ def _flush_results() -> None:
         f"{'scale':<8} {'domains':>8} {'build':>10} {'steady p50':>11} "
         f"{'steady max':>11}",
     ]
-    (RESULTS_DIR / "watch_replay.txt").write_text(
+    (TIMINGS_DIR / "watch_replay.txt").write_text(
         "\n".join(header + _LINES) + "\n"
     )
 

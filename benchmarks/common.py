@@ -10,6 +10,11 @@ from repro.synth import Universe, build_universe
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Timing-only bench outputs.  They change on every run and host, so
+#: they go to this git-ignored directory rather than next to the paper
+#: figures in ``results/``; ``recorded/`` keeps the run the docs quote.
+TIMINGS_DIR = pathlib.Path(__file__).parent / "timings"
+
 _UNIVERSES: dict[str, Universe] = {}
 
 

@@ -7,10 +7,10 @@ Four sync contracts, all mechanical:
   be added without surfacing here) appears in the README's CLI
   reference; and the README never documents an option the parser
   doesn't know.
-* **Benchmark citations** — every ``benchmarks/results/*.txt`` file
-  cited in ``docs/PERFORMANCE.md`` exists, and every performance-bench
-  results file (the non-figure artifacts the perf docs narrate) is
-  actually cited.
+* **Benchmark citations** — every ``benchmarks/recorded/*.txt`` file
+  cited in ``docs/PERFORMANCE.md`` exists, and every recorded
+  performance-bench run (the non-figure artifacts the perf docs
+  narrate) is actually cited.
 * **Links and anchors** — every relative markdown link in ``README.md``
   and ``docs/*.md`` resolves to a real file, and every ``#anchor``
   matches a heading slug in its target.
@@ -33,9 +33,9 @@ from repro.cli import _build_parser
 REPO = pathlib.Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
 DOCS = sorted((REPO / "docs").glob("*.md"))
-RESULTS_DIR = REPO / "benchmarks" / "results"
+RECORDED_DIR = REPO / "benchmarks" / "recorded"
 
-#: Performance-bench artifacts PERFORMANCE.md must cite (figure
+#: Recorded performance-bench runs PERFORMANCE.md must cite (figure
 #: reproductions under results/ are experiment outputs, not perf runs).
 PERF_RESULT_FILES = (
     "serving.txt",
@@ -110,22 +110,22 @@ def test_readme_documents_no_unknown_options():
 
 def test_performance_doc_citations_exist():
     text = (REPO / "docs" / "PERFORMANCE.md").read_text()
-    cited = set(re.findall(r"results/([A-Za-z0-9_.]+\.txt)", text))
-    assert cited, "docs/PERFORMANCE.md cites no results files"
-    missing = [name for name in cited if not (RESULTS_DIR / name).exists()]
+    cited = set(re.findall(r"recorded/([A-Za-z0-9_.]+\.txt)", text))
+    assert cited, "docs/PERFORMANCE.md cites no recorded bench runs"
+    missing = [name for name in cited if not (RECORDED_DIR / name).exists()]
     assert not missing, (
-        f"docs/PERFORMANCE.md cites nonexistent results files: {missing}"
+        f"docs/PERFORMANCE.md cites nonexistent recorded runs: {missing}"
     )
 
 
 def test_perf_result_files_are_cited():
     text = (REPO / "docs" / "PERFORMANCE.md").read_text()
     for name in PERF_RESULT_FILES:
-        assert (RESULTS_DIR / name).exists(), (
-            f"expected benchmark artifact benchmarks/results/{name} is missing"
+        assert (RECORDED_DIR / name).exists(), (
+            f"expected benchmark artifact benchmarks/recorded/{name} is missing"
         )
-        assert name in text, (
-            f"benchmarks/results/{name} exists but docs/PERFORMANCE.md "
+        assert f"recorded/{name}" in text, (
+            f"benchmarks/recorded/{name} exists but docs/PERFORMANCE.md "
             f"never cites it"
         )
 
