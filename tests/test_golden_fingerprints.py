@@ -13,7 +13,9 @@ tier-1 on every Python version in the CI matrix:
   partial (the order is what archive pool numbering follows),
 * the reference-date RIB's routes and origin sets, and
 * the ``repro detect --tune 28,96 --format csv`` export, which must
-  also equal the pin the benchmark checks (``perfbench/workloads.py``).
+  also equal the pin the benchmark checks (``perfbench/workloads.py``),
+* the tiny ``repro detect-series --format csv`` export on both date
+  grids (``--offsets paper`` and ``stability``).
 
 Two more pins hold the identity strings every archive generation
 stores: the reference-date annotator digest and the reference-date
@@ -74,6 +76,14 @@ IDENTITIES = {
         "f4bdd01bd3d9e6651a413edd1ce9f73c04c01208e6689a086d68529f6fb75366",
         "201d264cff696b46f0e81639e4b6921e35bebaddcbbb797af292576840bd4f69",
     ),
+}
+
+#: offsets -> sha256 of ``repro detect-series --scenario tiny --offsets
+#: <offsets> --format csv``: the longitudinal series, whose later dates
+#: ride snapshot deltas on one rolling index.
+SERIES_CSV = {
+    "paper": "f63b77fb769f4dc6078b4310fc77b47be4081e967b285f8d34732f53406a9c37",
+    "stability": "6f36bae56927b1052239eef7875c3cef1610be21f01b9f65d5f6ca413cb20e5d",
 }
 
 SCALES = sorted(GOLDEN)
@@ -157,6 +167,15 @@ def test_index_content_signature_pinned(scaled_universe):
         universe.annotator_at(REFERENCE_DATE),
     )
     assert index.content_signature() == IDENTITIES[scale][1]
+
+
+@pytest.mark.parametrize("offsets", sorted(SERIES_CSV))
+def test_detect_series_csv_pinned(offsets, tmp_path):
+    out = tmp_path / f"{offsets}.csv"
+    argv = ["detect-series", "--scenario", "tiny", "--offsets", offsets,
+            "--format", "csv"]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SERIES_CSV[offsets]
 
 
 @pytest.mark.parametrize("scale", SCALES)

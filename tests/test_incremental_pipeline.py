@@ -11,8 +11,8 @@ output per date, via the shared ``as_mapping`` agreement definition.
 
 Also here: the white-box guarantees the invariant rests on — the
 counter retract/add arithmetic, stale-cache invalidation through the
-index version protocol, the annotator-signature rebuild gate, the
-serve-series recompile skip, and CLI byte-identity.
+index version protocol, the annotator-signature rebuild gate, and the
+serve-series recompile skip.
 """
 
 import datetime
@@ -339,23 +339,6 @@ def test_serve_series_skips_recompile_for_unchanged_dates():
     # three dates, one for the changed final date.
     assert service.generation == 2
     assert service.index.snapshot == dates[-1]
-
-
-def test_cli_detect_series_incremental_byte_identical(tmp_path):
-    """``detect-series --incremental`` produces byte-identical CSV, so
-    the incremental path (including retraction-to-zero churn inside the
-    series) cannot drift from the full one."""
-    from repro.cli import main
-
-    full_path = tmp_path / "full.csv"
-    incremental_path = tmp_path / "incremental.csv"
-    argv = [
-        "detect-series", "--scenario", "tiny",
-        "--offsets", "stability", "--format", "csv",
-    ]
-    assert main([*argv, "-o", str(full_path)]) == 0
-    assert main([*argv, "-o", str(incremental_path), "--incremental"]) == 0
-    assert full_path.read_bytes() == incremental_path.read_bytes()
 
 
 if __name__ == "__main__":
