@@ -6,12 +6,14 @@ shared columnar engine; :func:`detect_series` resolves the substrate
 once so a longitudinal run reuses one interned domain table across every
 snapshot it detects on.
 
-:func:`detect_series` additionally offers ``incremental=True``: date 0
-is detected from scratch, every later date applies the snapshot delta to
-the *same* evolving index (re-annotating only churned domains) and lets
-the substrate patch its persistent Step-3 counters, so detection cost
-scales with daily churn instead of dataset size.  The mode is exact —
-bit-identical to full recomputation at every date — because delta
+Every multi-date run — :func:`detect_series` and the ``repro watch``
+daemon (:mod:`repro.analysis.watch`) — rolls one
+:class:`RollingDetection` forward: the first date builds its index in
+full, every later date applies the snapshot delta to the *same*
+evolving index (re-annotating only churned domains) and lets the
+substrate patch its persistent Step-3 counters, so detection cost
+scales with daily churn instead of dataset size.  The roll is exact —
+bit-identical to :func:`detect_at` on every date — because delta
 application is gated on the annotator's content signature: a date whose
 routing tables changed rebuilds from scratch, automatically.
 
@@ -20,10 +22,10 @@ routing tables changed rebuilds from scratch, automatically.
 every detected date into a ``.sparch`` snapshot archive
 (:mod:`repro.storage`) and *resumes* from one: dates already archived
 load back instead of recomputing (gated on the annotator digest), and
-with ``incremental=True`` the run restores the newest archived
-columnar state — interned pool, CSR posting lists, packed Step-3
-counters — so it continues delta-rolling from the last archived date
-rather than re-detecting the whole prefix of the series.
+the run restores the newest archived columnar state — interned pool,
+CSR posting lists, packed Step-3 counters — so it continues
+delta-rolling from the last archived date rather than re-detecting the
+whole prefix of the series.
 """
 
 from __future__ import annotations
@@ -65,86 +67,96 @@ def tuned_at(
     return tuner.tune_all(siblings), index
 
 
+class RollingDetection:
+    """One sibling index rolled forward from snapshot to snapshot.
+
+    :meth:`advance` builds the index in full on the first snapshot and
+    whenever the annotator's content signature changed (a routing change
+    can re-annotate *any* domain, not just churned ones); otherwise it
+    applies the :class:`~repro.dns.openintel.SnapshotDelta` from the
+    previous snapshot to the same index, and *engine* patches its cached
+    columnar view and persistent Step-3 counters from the recorded index
+    deltas.  Each date's sibling set equals :func:`detect_at` on that
+    date.  The roll may be seeded with an *index* and the *snapshot* and
+    annotator *signature* it was built from (archive resume).
+    """
+
+    def __init__(
+        self,
+        engine: Substrate,
+        index: "PrefixDomainIndex | None" = None,
+        snapshot=None,
+        signature=None,
+    ):
+        self.engine = engine
+        #: The evolving index (``None`` before the first snapshot).
+        self.index = index
+        self._snapshot = snapshot
+        self._signature = signature
+
+    def advance(self, snapshot, annotator) -> SiblingSet:
+        """Roll the index onto *snapshot*; returns its sibling set."""
+        signature = annotator.signature()
+        if self.index is None or signature != self._signature:
+            self.index = build_index(snapshot, annotator)
+        else:
+            with trace("series.delta_compute") as span:
+                delta = self._snapshot.delta_to(snapshot)
+                span.add_items(delta.touched_domains)
+            with trace("series.delta_apply", items=delta.touched_domains):
+                self.index.apply_delta(delta, annotator)
+        self._snapshot = snapshot
+        self._signature = signature
+        with trace("step34.select") as span:
+            siblings = self.engine.select(self.index)
+            span.add_items(len(siblings))
+        return siblings
+
+
+def _roll(
+    rolling: RollingDetection, universe: Universe, dates: Iterable[datetime.date]
+) -> list[tuple[datetime.date, SiblingSet]]:
+    return [
+        (
+            date,
+            rolling.advance(universe.snapshot_at(date), universe.annotator_at(date)),
+        )
+        for date in dates
+    ]
+
+
 def detect_series(
     universe: Universe,
     dates: Iterable[datetime.date],
     substrate: "str | Substrate | None" = None,
-    incremental: bool = False,
     archive: "str | pathlib.Path | None" = None,
 ) -> list[tuple[datetime.date, SiblingSet]]:
-    """Detect siblings on every date, sharing one substrate instance.
+    """Detect siblings on every date, rolling one index forward.
 
     The resolved substrate is threaded through all snapshots, so the
     columnar engine interns each domain string once for the whole run
-    rather than once per date.
-
-    With ``incremental=True`` the first date builds its index in full;
-    each subsequent date computes the
-    :class:`~repro.dns.openintel.SnapshotDelta` against the previous
-    snapshot and applies it to the same evolving index, provided the
-    annotator's content signature is unchanged (otherwise that date
-    rebuilds from scratch — routing changes can re-annotate *any*
-    domain, not just churned ones).  Substrates patch their cached
-    columnar view and persistent Step-3 counters from the recorded
-    index deltas, so per-date cost tracks churn.  Results are
-    bit-identical to ``incremental=False``.
+    rather than once per date.  The first date builds its index in
+    full; each later date applies its snapshot delta to the same index
+    unless the routing changed (see :class:`RollingDetection`).  Results
+    are bit-identical to :func:`detect_at` on every date.
 
     With ``archive=PATH`` the series is backed by a ``.sparch``
     snapshot archive: leading dates already archived (same date, same
     annotator digest) load back instead of recomputing, the remaining
-    dates detect as usual — resuming from the archived columnar state
-    when ``incremental=True`` — and every newly computed date is
-    appended to the archive (sibling list + compiled lookup index,
-    plus the final date's substrate state).  Results stay bit-identical
-    to an archiveless run; if the resolved engine's intern pool has
-    diverged from the archived one, a fresh private engine of the same
-    class is used for the run instead.
+    dates resume from the archived columnar state of the last archived
+    date when it matches, and every newly computed date is appended to
+    the archive (sibling list + compiled lookup index, plus the final
+    date's substrate state).  Results stay bit-identical to an
+    archiveless run; if the resolved engine's intern pool has diverged
+    from the archived one, a fresh private engine of the same class is
+    used for the run instead.
     """
     engine = get_substrate(substrate)
     if archive is not None:
         return _detect_series_archived(
-            universe, list(dates), engine, incremental, pathlib.Path(archive)
+            universe, list(dates), engine, pathlib.Path(archive)
         )
-    if not incremental:
-        return [
-            (date, detect_at(universe, date, substrate=engine)[0])
-            for date in dates
-        ]
-    results, _index = _detect_incremental(universe, list(dates), engine)
-    return results
-
-
-def _detect_incremental(
-    universe: Universe,
-    dates: list[datetime.date],
-    engine: Substrate,
-    index: "PrefixDomainIndex | None" = None,
-    previous_snapshot=None,
-    previous_signature=None,
-):
-    """The delta-rolling loop shared by plain and archived runs.
-
-    Starting state may be seeded (*index* + the snapshot/signature it
-    was built from) by the archive resume path; returns the per-date
-    results alongside the final evolving index.
-    """
-    results: list[tuple[datetime.date, SiblingSet]] = []
-    for date in dates:
-        snapshot = universe.snapshot_at(date)
-        annotator = universe.annotator_at(date)
-        signature = annotator.signature()
-        if index is None or signature != previous_signature:
-            index = build_index(snapshot, annotator)
-        else:
-            with trace("series.delta_compute") as span:
-                delta = previous_snapshot.delta_to(snapshot)
-                span.add_items(delta.touched_domains)
-            with trace("series.delta_apply", items=delta.touched_domains):
-                index.apply_delta(delta, annotator)
-        results.append((date, engine.select(index)))
-        previous_snapshot = snapshot
-        previous_signature = signature
-    return results, index
+    return _roll(RollingDetection(engine), universe, dates)
 
 
 class _StandalonePool:
@@ -264,7 +276,6 @@ def _detect_series_archived(
     universe: Universe,
     dates: list[datetime.date],
     engine: Substrate,
-    incremental: bool,
     path: pathlib.Path,
 ) -> list[tuple[datetime.date, SiblingSet]]:
     """The archive-backed :func:`detect_series` body: load the archived
@@ -274,10 +285,7 @@ def _detect_series_archived(
 
     archived: list[tuple[datetime.date, SiblingSet]] = []
     pool_names: list[str] = []
-    pool = None
-    resume_index: PrefixDomainIndex | None = None
-    resume_snapshot = None
-    resume_signature = None
+    rolling = None
     if path.exists():
         with ArchiveReader.open(path) as reader:
             pool_names = reader.pool_names()
@@ -296,59 +304,56 @@ def _detect_series_archived(
                 archived.append(
                     (date, substrate_io.load_siblings(generation, pool_names))
                 )
-            remaining = dates[len(archived):]
-            if archived and remaining and incremental:
-                state_generation = reader.latest(substrate_io.STATE_KIND)
-                last_date = archived[-1][0]
-                if (
-                    state_generation is not None
-                    and state_generation.date == last_date.isoformat()
-                    and isinstance(engine, ColumnarSubstrate)
-                ):
-                    snapshot = universe.snapshot_at(last_date)
-                    annotator = universe.annotator_at(last_date)
-                    index = build_index(snapshot, annotator)
-                    if (
-                        state_generation.index_signature
-                        == index.content_signature()
-                    ):
-                        engine, pool = _pool_for_archive(engine, pool_names)
-                        state = substrate_io.restore_state(
-                            state_generation, pool_names
-                        )
-                        try:
-                            engine.adopt_state(index, state)
-                        except ValueError:
-                            pass  # structure drifted: plain rebuild below
-                        else:
-                            resume_index = index
-                            resume_snapshot = snapshot
-                            resume_signature = annotator.signature()
+            if archived and len(archived) < len(dates):
+                engine, pool = _pool_for_archive(engine, pool_names)
+                rolling = _resumed(
+                    reader, universe, archived[-1][0], engine, pool_names
+                )
     remaining = dates[len(archived):]
     if not remaining:
         return archived
 
-    if pool is None:
+    if rolling is None:
         engine, pool = _pool_for_archive(engine, pool_names)
-
-    if incremental:
-        new_results, final_index = _detect_incremental(
-            universe,
-            remaining,
-            engine,
-            index=resume_index,
-            previous_snapshot=resume_snapshot,
-            previous_signature=resume_signature,
-        )
-    else:
-        new_results = []
-        final_index = None
-        for date in remaining:
-            siblings, final_index = detect_at(universe, date, substrate=engine)
-            new_results.append((date, siblings))
-
-    _append_archive(path, universe, new_results, pool, engine, final_index)
+        rolling = RollingDetection(engine)
+    new_results = _roll(rolling, universe, remaining)
+    _append_archive(path, universe, new_results, pool, engine, rolling.index)
     return archived + new_results
+
+
+def _resumed(
+    reader,
+    universe: Universe,
+    date: datetime.date,
+    engine: Substrate,
+    pool_names: list[str],
+) -> RollingDetection:
+    """A roll seeded from the archived columnar state of *date*.
+
+    The state is adopted only when it was archived for *date* itself
+    and the rebuilt index's content signature matches the archived one;
+    otherwise the returned roll starts from scratch.
+    """
+    from repro.storage import substrate_io
+
+    state_generation = reader.latest(substrate_io.STATE_KIND)
+    if (
+        state_generation is None
+        or state_generation.date != date.isoformat()
+        or not isinstance(engine, ColumnarSubstrate)
+    ):
+        return RollingDetection(engine)
+    snapshot = universe.snapshot_at(date)
+    annotator = universe.annotator_at(date)
+    index = build_index(snapshot, annotator)
+    if state_generation.index_signature != index.content_signature():
+        return RollingDetection(engine)
+    state = substrate_io.restore_state(state_generation, pool_names)
+    try:
+        engine.adopt_state(index, state)
+    except ValueError:
+        return RollingDetection(engine)  # structure drifted: plain rebuild
+    return RollingDetection(engine, index, snapshot, annotator.signature())
 
 
 def archive_detection(
@@ -369,9 +374,11 @@ def archive_detection(
     enriched pairs when given, else from the raw *siblings*), and —
     when *index* is the detection's :class:`PrefixDomainIndex` and the
     engine is columnar — the substrate state, so a later
-    ``detect-series --archive --incremental`` resumes from this date.
-    A date already archived is skipped (appends are idempotent per
-    date).  Creates the archive if missing; returns its path.
+    ``detect-series --archive`` resumes from this date.  A date already
+    archived under the same annotator digest is skipped (appends are
+    idempotent per (date, annotator digest); a date whose routing
+    changed gets a new generation).  Creates the archive if missing;
+    returns its path.
     """
     from repro.storage.archive import ArchiveReader
 
@@ -393,42 +400,6 @@ def archive_detection(
         raw=raw,
     )
     return path
-
-
-def serve_series(
-    universe: Universe,
-    dates: Iterable[datetime.date],
-    substrate: "str | Substrate | None" = None,
-    cache_size: int = 4096,
-    incremental: bool = False,
-):
-    """Detect on every date and publish each snapshot into a fresh
-    :class:`~repro.serving.service.SiblingQueryService`.
-
-    The longitudinal bridge between detection and serving: snapshots
-    are compiled into immutable lookup indexes and hot-swapped into the
-    service in date order, exactly as a production publisher would roll
-    a daily list forward.  A date whose sibling list is *identical* to
-    the one already being served skips the lookup-index recompile and
-    swap entirely — the service keeps answering from the equal index it
-    already holds, and its ``generation`` counter reflects only real
-    publishes.  The returned service answers for the *last* date.
-    ``incremental=True`` detects via snapshot deltas (see
-    :func:`detect_series`).
-    """
-    from repro.serving.index import SiblingLookupIndex
-    from repro.serving.service import SiblingQueryService
-
-    service = SiblingQueryService(cache_size=cache_size)
-    published: SiblingSet | None = None
-    for _date, siblings in detect_series(
-        universe, dates, substrate=substrate, incremental=incremental,
-    ):
-        if published is not None and published.same_pairs(siblings):
-            continue
-        service.swap(SiblingLookupIndex.from_siblings(siblings))
-        published = siblings
-    return service
 
 
 def paper_offsets(

@@ -2,10 +2,11 @@
 
 The daemon the ROADMAP's "streaming ingestion" item asks for, in one
 long-running process: tail a snapshot *source* (a directory of snapshot
-files, or any callable feed), run each new
-:class:`~repro.dns.openintel.DnsSnapshot` through the incremental
-detection pipeline (full build on the first date or an annotator
-change, :class:`~repro.dns.openintel.SnapshotDelta` otherwise), append
+files, or any callable feed), roll each new
+:class:`~repro.dns.openintel.DnsSnapshot` through the same
+:class:`~repro.analysis.pipeline.RollingDetection` as ``detect-series``
+(full build on the first date or an annotator change,
+:class:`~repro.dns.openintel.SnapshotDelta` otherwise), append
 the resulting generation to a ``.sparch`` archive through the
 footer-commit protocol, and atomically hot-swap the in-process
 :class:`~repro.serving.service.SiblingQueryService`.
@@ -49,8 +50,11 @@ import threading
 import time
 from typing import Callable, Iterable
 
-from repro.analysis.pipeline import _append_archive, _pool_for_archive
-from repro.core.domainsets import build_index
+from repro.analysis.pipeline import (
+    RollingDetection,
+    _append_archive,
+    _pool_for_archive,
+)
 from repro.core.substrate import Substrate, get_substrate
 from repro.dns.openintel import DnsSnapshot, DomainObservation
 from repro.nettypes.addr import AddressError, format_address, parse_address
@@ -344,9 +348,10 @@ class SnapshotWatcher:
                 for generation in reader.generations
                 if substrate_io.SIBLINGS_KIND in generation.meta
             }
-        self._engine, self._pool = _pool_for_archive(
+        engine, self._pool = _pool_for_archive(
             get_substrate(substrate), pool_names
         )
+        self._rolling = RollingDetection(engine)
 
         self.generations = len(self._archived)
         #: Snapshots polled but not yet processed (an early return from
@@ -354,9 +359,6 @@ class SnapshotWatcher:
         #: the rest of the batch: the source already consumed it).
         self._pending: list[DnsSnapshot] = []
         self._reported_errors = 0
-        self._index = None
-        self._previous_snapshot = None
-        self._previous_signature = None
         self._published = None
         self._last_date: "datetime.date | None" = None
         self._last_lag: "float | None" = None
@@ -380,7 +382,7 @@ class SnapshotWatcher:
         self._m_snapshots.inc()
         date = snapshot.date
         if self._last_date is not None and date <= self._last_date:
-            # Stale or duplicate date: the incremental index only rolls
+            # Stale or duplicate date: the rolling index only moves
             # forward.  Counted with the source errors — a well-formed
             # feed never goes backward.
             self._m_source_errors.inc()
@@ -392,23 +394,16 @@ class SnapshotWatcher:
             # committed); replaying its file is a no-op.
             self._last_date = date
             return False
-        signature = annotator.signature()
-        with trace("watch.detect") as span:
-            if self._index is None or signature != self._previous_signature:
-                self._index = build_index(snapshot, annotator)
-            else:
-                delta = self._previous_snapshot.delta_to(snapshot)
-                span.add_items(delta.touched_domains)
-                self._index.apply_delta(delta, annotator)
-            siblings = self._engine.select(self._index)
+        with trace("watch.detect"):
+            siblings = self._rolling.advance(snapshot, annotator)
         with trace("watch.append"):
             _append_archive(
                 self.archive,
                 _SingleDateUniverse(snapshot, annotator),
                 [(date, siblings)],
                 self._pool,
-                self._engine,
-                self._index,
+                self._rolling.engine,
+                self._rolling.index,
             )
         self._archived[date.isoformat()] = digest
         self.generations += 1
@@ -417,15 +412,12 @@ class SnapshotWatcher:
             if self._published is not None and self._published.same_pairs(
                 siblings
             ):
-                # Same pairs as served: skip the remap/swap, exactly as
-                # serve_series does — generation counters track real
-                # publishes only.
+                # Same pairs as served: skip the remap/swap — generation
+                # counters track real publishes only.
                 self._m_swaps_skipped.inc()
             elif self._service is not None:
                 self._service.swap_from_archive(self.archive)
         self._published = siblings
-        self._previous_snapshot = snapshot
-        self._previous_signature = signature
         self._last_date = date
         done = time.monotonic()
         self._last_lag = done - seen_at

@@ -87,7 +87,7 @@ class Rib:
         Two RIBs with the same announcements — prefixes and origin sets
         — return equal signatures even when they are distinct objects
         (e.g. per-month snapshots that happen not to differ).  The
-        incremental longitudinal pipeline compares signatures between
+        rolling longitudinal pipeline compares signatures between
         consecutive dates: equal signatures guarantee every address
         annotates identically on both dates, which is the precondition
         for applying a snapshot delta instead of rebuilding the index.

@@ -90,8 +90,8 @@ class PrefixAnnotator:
         for every address on both annotators: the primary and fallback
         RIB contents agree and the deterministic missing-annotation
         selection uses the same fraction.  This is what
-        ``detect_series(..., incremental=True)`` checks before reusing
-        the previous date's index via a snapshot delta.
+        :class:`~repro.analysis.pipeline.RollingDetection` checks before
+        reusing the previous date's index via a snapshot delta.
         """
         return (
             self._primary.signature(),

@@ -12,8 +12,8 @@ Subcommands:
 * ``experiment`` — run any registered per-figure experiment.
 * ``scenarios``  — list the available scenario presets.
 * ``scenario``   — run a scripted longitudinal event scenario (rollout,
-  renumber, rotation, aliased, orgchurn, mixed) through the incremental
-  pipeline — or the full watch daemon with ``--via watch`` — and score
+  renumber, rotation, aliased, orgchurn, mixed) through the rolling
+  detection loop — or the full watch daemon with ``--via watch`` — and score
   detection exactly against the generator's ground-truth ledger
   (``--score``); ``detect-series --events NAME --score`` does the same
   over the plain series command.
@@ -23,8 +23,8 @@ Subcommands:
   export, or ``--archive`` for a zero-copy ``mmap`` attach.
 * ``status``     — fetch and render a serving endpoint's ``/v1/status``.
 * ``watch``      — the streaming ingestion daemon: tail a directory of
-  snapshot files, roll each new snapshot through the incremental
-  pipeline, append the generation to a ``.sparch`` archive, and
+  snapshot files, roll each new snapshot through the same detection
+  loop, append the generation to a ``.sparch`` archive, and
   hot-swap the (optionally HTTP-served) query service.
 * ``archive``    — operate on a ``.sparch`` archive: ``verify`` scrubs
   every segment CRC, ``repair`` truncates a torn tail back to the last
@@ -44,19 +44,11 @@ import sys
 from typing import Sequence
 
 from repro.core.sptuner import SpTunerMS, TunerConfig
-from repro.core.substrate import DEFAULT_SUBSTRATE, SUBSTRATES
 from repro.dates import REFERENCE_DATE
 
 
 def _add_substrate_options(command: argparse.ArgumentParser) -> None:
-    """The shared Step 3-4 engine flags (``--substrate``, ``--stats``)."""
-    command.add_argument(
-        "--substrate",
-        choices=sorted(SUBSTRATES),
-        default=DEFAULT_SUBSTRATE,
-        help="Step 3-4 engine (columnar: interned posting lists; "
-        "reference: the paper-literal dict-of-sets path)",
-    )
+    """The shared ``--stats`` flag."""
     command.add_argument(
         "--stats",
         action="store_true",
@@ -118,18 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", "-o", help="write to this file instead of stdout"
     )
     series.add_argument(
-        "--incremental",
-        action="store_true",
-        help="detect date 0 in full, then roll snapshot deltas forward "
-        "(bit-identical results; cost scales with daily churn)",
-    )
-    series.add_argument(
         "--archive",
         metavar="PATH",
         help="back the series by the .sparch snapshot archive at PATH: "
         "already-archived dates load back instead of recomputing "
-        "(with --incremental the run resumes from the archived substrate "
-        "state), and newly detected dates are appended",
+        "(the run resumes from the archived substrate state), and newly "
+        "detected dates are appended",
     )
     series.add_argument(
         "--events",
@@ -161,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "op",
         choices=("run", "list"),
-        help="run: drive the named event script through the incremental "
-        "pipeline and score detection against the generator's ledger; "
+        help="run: drive the named event script through the rolling "
+        "detection loop and score detection against the generator's ledger; "
         "list: show the scripted scenario grid",
     )
     scenario.add_argument(
@@ -205,13 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "event series into a snapshot-file feed and drain it through "
         "the `repro watch` daemon (archive-backed), then score the "
         "archived generations",
-    )
-    scenario.add_argument(
-        "--full",
-        action="store_true",
-        help="rebuild every date from scratch instead of rolling "
-        "snapshot deltas (results are bit-identical; this is the "
-        "slow path)",
     )
     _add_substrate_options(scenario)
 
@@ -354,7 +333,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     siblings, index = detect_with_index(
         universe.snapshot_at(REFERENCE_DATE),
         universe.annotator_at(REFERENCE_DATE),
-        substrate=args.substrate,
     )
     if args.tune:
         config = _parse_thresholds(args.tune)
@@ -382,7 +360,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             REFERENCE_DATE,
             siblings,
             index=index,
-            substrate=args.substrate,
             published=published,
             raw=not (args.tune or args.min_jaccard > 0.0),
         )
@@ -450,13 +427,7 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
         label_of = {date: label for label, date in labelled}
         universe = build_universe(args.scenario)
         dates = [date for _, date in labelled]
-    series = detect_series(
-        universe,
-        dates,
-        substrate=args.substrate,
-        incremental=args.incremental,
-        archive=args.archive,
-    )
+    series = detect_series(universe, dates, archive=args.archive)
 
     stream = open(args.output, "w") if args.output else sys.stdout
     try:
@@ -556,7 +527,6 @@ def _scenario_results_via_watch(universe, args) -> list:
             SnapshotDirectorySource(feed_dir),
             universe.annotator_at,
             archive,
-            substrate=args.substrate,
         )
         watcher.run(once=True)
         with ArchiveReader.open(archive) as reader:
@@ -601,13 +571,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     else:
         from repro.analysis.pipeline import detect_series
 
-        results = detect_series(
-            universe,
-            universe.dates,
-            substrate=args.substrate,
-            incremental=not args.full,
-            archive=args.archive,
-        )
+        results = detect_series(universe, universe.dates, archive=args.archive)
 
     script = universe.script
     print(
@@ -776,7 +740,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             universe.annotator_at,
             args.archive,
             service=service,
-            substrate=args.substrate,
             budget_seconds=args.budget or None,
             poll_interval=args.poll_interval,
         )

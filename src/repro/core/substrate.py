@@ -34,7 +34,7 @@ index mutates through :meth:`~repro.core.domainsets.PrefixDomainIndex.
 apply_delta`, :meth:`ColumnarSubstrate.prepare` patches the cached state
 and counter in place (retracting the removed domains' packed pair
 contributions, adding the new ones) instead of rebuilding — the engine
-room of ``detect_series(..., incremental=True)``.
+room of :class:`~repro.analysis.pipeline.RollingDetection`.
 """
 
 from __future__ import annotations

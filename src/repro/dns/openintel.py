@@ -14,10 +14,11 @@ Consecutive snapshots differ in only a small fraction of domains, so the
 longitudinal pipeline treats day-over-day measurement as a delta problem:
 :class:`SnapshotDelta` (computed by :meth:`DnsSnapshot.delta_to` or
 :meth:`SnapshotSeries.delta`) records exactly which domains appeared,
-disappeared, or changed addresses between two dates.  The incremental
-detection path (:meth:`repro.core.domainsets.PrefixDomainIndex.apply_delta`
-and :func:`repro.analysis.pipeline.detect_series` with
-``incremental=True``) consumes it instead of rebuilding everything.
+disappeared, or changed addresses between two dates.  The rolling
+detection loop (:meth:`repro.core.domainsets.PrefixDomainIndex.apply_delta`
+driven by :class:`repro.analysis.pipeline.RollingDetection`, behind
+``detect_series`` and ``repro watch``) consumes it instead of
+rebuilding everything.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The observability substrate every other subsystem reports into:
   item counts into the registry; the per-stage timing tables behind
   ``repro detect --stats``.
 
-Detection Steps 1-3, the incremental delta path, the ``.sparch``
+Detection Steps 1-3, the snapshot-delta path, the ``.sparch``
 archive and the query service are all wired through this package; the
 HTTP server renders the registry on ``/v1/metrics`` (see
 ``docs/OBSERVABILITY.md`` for the metric catalog).

@@ -20,8 +20,8 @@ observe_gauges`.  Metric updates happen strictly *outside* the service
 lock — telemetry can never extend the swap critical section.  See
 ``docs/OBSERVABILITY.md`` for the catalog.
 
-This is the seam the longitudinal pipeline publishes into
-(:func:`repro.analysis.pipeline.serve_series`) and the HTTP layer
+This is the seam the ``repro watch`` daemon publishes into
+(:class:`repro.analysis.watch.SnapshotWatcher`) and the HTTP layer
 (:mod:`repro.serving.http`) reads from.
 """
 

@@ -16,9 +16,9 @@ Design constraints, both load-bearing for the longitudinal pipeline:
 * **One constant RIB.**  Every block a deployment will *ever* use —
   base, renumber spares, the whole rotation ring, the aliased cluster —
   is announced up front, so the annotator's content signature never
-  changes and ``detect_series(incremental=True)`` stays on the
-  delta path for the entire series (a signature change forces a full
-  rebuild; see :func:`repro.analysis.pipeline.detect_series`).
+  changes and ``detect_series`` stays on the delta path for the
+  entire series (a signature change forces a full rebuild; see
+  :class:`repro.analysis.pipeline.RollingDetection`).
 * **Private address plan.**  Each engine instance allocates from its own
   :class:`~repro.synth.addressplan.AddressPlan`, so two engines built
   from the same script produce bit-identical series regardless of what

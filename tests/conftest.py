@@ -55,7 +55,7 @@ def as_mapping(siblings):
     """Every observable field of every pair, keyed by the prefix pair.
 
     The shared definition of "two engines agree" used by the substrate
-    equivalence, differential, incremental and archive suites — extend it
+    equivalence, differential, rolling-index and archive suites — extend it
     here (not in one suite) when :class:`SiblingPair` grows a field.
     """
     return {
@@ -67,6 +67,17 @@ def as_mapping(siblings):
         )
         for pair in siblings
     }
+
+
+def detect_each_date(universe, dates, substrate=None):
+    """The per-date oracle: ``detect_at`` from scratch on every date.
+
+    What the rolling index of ``detect_series`` and ``repro watch`` must
+    equal on each date; shaped like a ``detect_series`` result.
+    """
+    from repro.analysis.pipeline import detect_at
+
+    return [(d, detect_at(universe, d, substrate=substrate)[0]) for d in dates]
 
 
 @pytest.fixture(scope="session")

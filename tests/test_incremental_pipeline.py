@@ -1,6 +1,6 @@
-"""Incremental detect-series must be bit-identical to full recomputation.
+"""The rolling detect-series must be bit-identical to per-date detection.
 
-The invariant behind ``detect_series(..., incremental=True)``: at every
+The invariant behind ``detect_series``: at every
 date, detection over the delta-maintained index — with the columnar
 state and persistent Step-3 counters *patched*, never rebuilt — equals a
 from-scratch run on that date's snapshot, for every engine.  Hypothesis
@@ -11,8 +11,7 @@ output per date, via the shared ``as_mapping`` agreement definition.
 
 Also here: the white-box guarantees the invariant rests on — the
 counter retract/add arithmetic, stale-cache invalidation through the
-index version protocol, the annotator-signature rebuild gate, and the
-serve-series recompile skip.
+index version protocol, and the annotator-signature rebuild gate.
 """
 
 import datetime
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_mapping
+from conftest import as_mapping, detect_each_date
 
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
@@ -134,10 +133,8 @@ def run_both(tables, engine_factory):
     )
     from repro.analysis.pipeline import detect_series
 
-    full = detect_series(shim, dates, substrate=engine_factory())
-    incremental = detect_series(
-        shim, dates, substrate=engine_factory(), incremental=True
-    )
+    full = detect_each_date(shim, dates, substrate=engine_factory())
+    incremental = detect_series(shim, dates, substrate=engine_factory())
     return dates, full, incremental
 
 
@@ -160,11 +157,8 @@ def test_incremental_equals_reference_oracle(tables):
     shim = SeriesShim(
         [snapshot_from_table(date, table) for date, table in zip(dates, tables)]
     )
-    reference = get_substrate("reference")
-    for date, siblings in incremental:
-        fresh = reference.select(
-            build_index(shim.snapshot_at(date), shim.annotator_at(date))
-        )
+    reference = detect_each_date(shim, dates, substrate=get_substrate("reference"))
+    for (_, siblings), (_, fresh) in zip(incremental, reference):
         assert as_mapping(siblings) == as_mapping(fresh)
 
 
@@ -302,7 +296,7 @@ def test_unmarked_hand_edit_behind_delta_still_rebuilds():
 def test_annotator_change_forces_full_rebuild_and_stays_exact():
     """A routing change between dates invalidates delta application —
     the pipeline must rebuild that date from scratch and still agree
-    with the non-incremental run."""
+    with per-date detection."""
     from repro.analysis.pipeline import detect_series
 
     tables = _two_date_tables() + [_two_date_tables()[0]]
@@ -318,27 +312,10 @@ def test_annotator_change_forces_full_rebuild_and_stays_exact():
         [snapshot_from_table(date, table) for date, table in zip(dates, tables)],
         annotator_for_date=annotators.__getitem__,
     )
-    full = detect_series(shim, dates, substrate=ColumnarSubstrate())
-    incremental = detect_series(
-        shim, dates, substrate=ColumnarSubstrate(), incremental=True
-    )
+    full = detect_each_date(shim, dates, substrate=ColumnarSubstrate())
+    incremental = detect_series(shim, dates, substrate=ColumnarSubstrate())
     for (_, siblings_full), (_, siblings_incremental) in zip(full, incremental):
         assert as_mapping(siblings_full) == as_mapping(siblings_incremental)
-
-
-def test_serve_series_skips_recompile_for_unchanged_dates():
-    from repro.analysis.pipeline import serve_series
-
-    tables = [_two_date_tables()[0]] * 3 + [_two_date_tables()[1]]
-    dates = [BASE_DATE + datetime.timedelta(days=i) for i in range(len(tables))]
-    shim = SeriesShim(
-        [snapshot_from_table(date, table) for date, table in zip(dates, tables)]
-    )
-    service = serve_series(shim, dates, incremental=True)
-    # Dates 1 and 2 are identical to date 0: one publish for the first
-    # three dates, one for the changed final date.
-    assert service.generation == 2
-    assert service.index.snapshot == dates[-1]
 
 
 if __name__ == "__main__":

@@ -181,11 +181,11 @@ def test_detect_series_incremental_stats_count_every_full_build(
     dates = [date for _, date in paper_offsets(REFERENCE_DATE)]
     universe = build_universe("tiny")
     signatures = [universe.annotator_at(date).signature() for date in dates]
-    # The incremental loop rebuilds whenever the routing table changed.
+    # The rolling loop rebuilds whenever the routing table changed.
     full_builds = 1 + sum(a != b for a, b in zip(signatures, signatures[1:]))
     argv = [
         "detect-series", "--scenario", "tiny", "--offsets", "paper",
-        "--incremental", "--stats", "--format", "csv",
+        "--stats", "--format", "csv",
         "-o", str(tmp_path / "series.csv"),
     ]
     assert main(argv) == 0

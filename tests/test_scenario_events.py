@@ -7,8 +7,8 @@ Three layers of contract:
   trap, org merges/splits) produces exactly the snapshots and ledger
   entries its docstring promises, and two engines built from the same
   script are bit-identical (private address plan, constant RIB).
-* **Property tests** — for *random* event scripts, incremental
-  ``detect_series`` stays pair-identical to full recomputation, and the
+* **Property tests** — for *random* event scripts, the rolling
+  ``detect_series`` stays pair-identical to per-date detection, and the
   ledger invariants hold: no pair is both added and retracted by the
   same change, visible truth is a subset of full truth, and renumbering
   never changes org-level truth.
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_mapping
+from conftest import as_mapping, detect_each_date
 
 from repro.analysis.pipeline import detect_series
 from repro.analysis.quality import score_series
@@ -66,9 +66,7 @@ def _universe(events, **kwargs):
 def _detected_keys(universe):
     return {
         date: {pair.key for pair in siblings}
-        for date, siblings in detect_series(
-            universe, universe.dates, incremental=True
-        )
+        for date, siblings in detect_series(universe, universe.dates)
     }
 
 
@@ -90,7 +88,7 @@ class TestEventSemantics:
             assert a.ledger.keys_at(date) == b.ledger.keys_at(date)
 
     def test_annotator_signature_is_constant(self):
-        """The whole point of the up-front RIB: the incremental path is
+        """The whole point of the up-front RIB: the delta path is
         never gated off by a signature change."""
         universe = build_event_universe("mixed")
         signatures = {
@@ -161,7 +159,7 @@ class TestEventSemantics:
         # Truth persists organizationally through the blackout.
         assert len(universe.ledger.truth_at(dates[2])) == 8
         # Recall is never charged for the blackout window.
-        results = detect_series(universe, dates, incremental=True)
+        results = detect_series(universe, dates)
         score = score_series(results, universe.ledger)
         assert score.recall == 1.0 and score.precision == 1.0
 
@@ -170,7 +168,7 @@ class TestEventSemantics:
         trap = universe.aliased_prefix
         assert trap is not None
         assert universe.ledger.is_trap(trap)
-        results = detect_series(universe, universe.dates, incremental=True)
+        results = detect_series(universe, universe.dates)
         score = score_series(results, universe.ledger)
         fp = sum(s.false_positives for s in score.dates)
         trap_fp = sum(s.trap_positives for s in score.dates)
@@ -184,7 +182,7 @@ class TestEventSemantics:
         dates = universe.dates
         assert len(universe.ledger.visible_truth_at(dates[1])) == 8
         assert not universe.ledger.visible_truth_at(dates[2])
-        results = detect_series(universe, dates, incremental=True)
+        results = detect_series(universe, dates)
         score = score_series(results, universe.ledger)
         # Everything detected after the hijack is a trap hit; recall is
         # not charged (the true pairs are invisible truth).
@@ -275,9 +273,9 @@ class TestScriptProperties:
     @given(script=_scripts())
     def test_incremental_matches_full_recompute(self, script):
         universe = EventUniverse(script, base=POPULATION)
-        full = detect_series(universe, universe.dates, incremental=False)
+        full = detect_each_date(universe, universe.dates)
         fresh = EventUniverse(script, base=POPULATION)
-        incremental = detect_series(fresh, fresh.dates, incremental=True)
+        incremental = detect_series(fresh, fresh.dates)
         assert [d for d, _ in full] == [d for d, _ in incremental]
         for (_, a), (_, b) in zip(full, incremental):
             assert as_mapping(a) == as_mapping(b)
@@ -320,7 +318,7 @@ class TestEventScriptedWatch:
 
     def _expected(self, universe):
         fresh = EventUniverse(self.SCRIPT, base=POPULATION)
-        return detect_series(fresh, fresh.dates, incremental=True)
+        return detect_series(fresh, fresh.dates)
 
     def test_rotation_mid_watch_matches_scripted_timeline(self, tmp_path):
         universe = EventUniverse(self.SCRIPT, base=POPULATION)
@@ -356,7 +354,7 @@ class TestEventScriptedWatch:
         assert service.generation == 3  # t0 + two rotations
 
         # The archive holds every generation, bit-equal to the batch
-        # incremental pipeline over the same script.
+        # detect_series over the same script.
         from repro.storage import substrate_io
         from repro.storage.archive import ArchiveReader
 

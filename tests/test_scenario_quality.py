@@ -17,7 +17,7 @@ trap hit, which is what ``non_trap_precision`` isolates.
 
 import pytest
 
-from conftest import as_mapping
+from conftest import as_mapping, detect_each_date
 
 from repro.analysis.pipeline import detect_series
 from repro.analysis.quality import score_series
@@ -41,11 +41,9 @@ def test_every_scenario_has_a_floor():
     assert set(FLOORS) == set(EVENT_SCENARIOS)
 
 
-def _score(name, substrate, incremental=True):
+def _score(name, substrate):
     universe = build_event_universe(name)
-    results = detect_series(
-        universe, universe.dates, substrate=substrate, incremental=incremental
-    )
+    results = detect_series(universe, universe.dates, substrate=substrate)
     return score_series(results, universe.ledger, scenario=name)
 
 
@@ -91,15 +89,11 @@ def test_aliased_false_positives_are_all_trap_hits():
 @pytest.mark.parametrize("substrate", ENGINES)
 def test_incremental_matches_full_on_event_series(substrate):
     """The event series exercises the delta path (constant annotator
-    signature) and must stay bit-identical to full recomputation."""
+    signature) and must stay bit-identical to per-date detection."""
     universe = build_event_universe("mixed")
-    full = detect_series(
-        universe, universe.dates, substrate=substrate, incremental=False
-    )
+    full = detect_each_date(universe, universe.dates, substrate=substrate)
     fresh = build_event_universe("mixed")
-    incremental = detect_series(
-        fresh, fresh.dates, substrate=substrate, incremental=True
-    )
+    incremental = detect_series(fresh, fresh.dates, substrate=substrate)
     assert [d for d, _ in full] == [d for d, _ in incremental]
     for (_, a), (_, b) in zip(full, incremental):
         assert as_mapping(a) == as_mapping(b)

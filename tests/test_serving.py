@@ -394,41 +394,6 @@ class TestService:
         assert not failures
 
 
-class TestServeSeries:
-    def test_pipeline_hands_snapshots_to_service(self, tiny_universe):
-        from repro.analysis.pipeline import detect_at, serve_series
-        from repro.dates import REFERENCE_DATE
-
-        dates = [
-            REFERENCE_DATE - datetime.timedelta(days=7),
-            REFERENCE_DATE,
-        ]
-        service = serve_series(tiny_universe, dates)
-        # A date whose sibling list equals the one already served skips
-        # the recompile+swap, so the generation counter only counts real
-        # publishes (at least the first date, at most every date).
-        assert 1 <= service.generation <= len(dates)
-        earlier, _ = detect_at(tiny_universe, dates[0])
-        siblings, _ = detect_at(tiny_universe, REFERENCE_DATE)
-        if earlier.same_pairs(siblings):
-            assert service.generation == 1
-            assert service.index.snapshot == dates[0]
-        else:
-            assert service.generation == len(dates)
-            assert service.index.snapshot == REFERENCE_DATE
-        # The served answers equal a fresh compile of the last snapshot
-        # (pair-wise — the recorded date may be the skip-retained one).
-        expected = SiblingLookupIndex.from_siblings(siblings)
-        for pair in list(expected)[:5]:
-            answer = service.lookup(str(pair.v4_prefix))
-            assert answer["found"]
-            assert answer["snapshot"] == service.index.snapshot.isoformat()
-            assert any(
-                row["v6_prefix"] == str(pair.v6_prefix)
-                for row in answer["pairs"]
-            )
-
-
 @pytest.fixture(scope="module")
 def http_server():
     """A live HTTP server over a small fixed index."""

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_mapping
+from conftest import as_mapping, detect_each_date
 from test_incremental_pipeline import (
     BASE_DATE,
     SeriesShim,
@@ -245,24 +245,20 @@ class TestArchivedSeries:
         self, tiny_universe, tmp_path, engine_name
     ):
         """Archive write → reload reproduces identical per-date output."""
-        incremental = engine_name != "reference"
         path = tmp_path / f"{engine_name}.sparch"
         fresh = {
             "reference": get_substrate("reference"),
             "columnar": ColumnarSubstrate(),
         }
-        plain = detect_series(
-            tiny_universe, self.DATES, substrate=fresh[engine_name],
-            incremental=incremental,
+        plain = detect_each_date(
+            tiny_universe, self.DATES, substrate=fresh[engine_name]
         )
         first = detect_series(
-            tiny_universe, self.DATES, substrate=engine_name,
-            incremental=incremental, archive=path,
+            tiny_universe, self.DATES, substrate=engine_name, archive=path,
         )
         # Second run answers entirely from the archive.
         replay = detect_series(
-            tiny_universe, self.DATES, substrate=engine_name,
-            incremental=incremental, archive=path,
+            tiny_universe, self.DATES, substrate=engine_name, archive=path,
         )
         for (date, want), (_, got1), (_, got2) in zip(plain, first, replay):
             assert as_mapping(want) == as_mapping(got1), (engine_name, date)
@@ -276,7 +272,7 @@ class TestArchivedSeries:
         path = tmp_path / "resume.sparch"
         detect_series(
             tiny_universe, self.DATES[:2], substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            archive=path,
         )
 
         builds = []
@@ -287,15 +283,14 @@ class TestArchivedSeries:
         )
         resumed = detect_series(
             tiny_universe, self.DATES, substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            archive=path,
         )
         # Exactly one build: the resume-date index; archived dates load,
         # later dates ride deltas on the restored state.
         assert builds == [1]
 
-        plain = detect_series(
-            tiny_universe, self.DATES, substrate=ColumnarSubstrate(),
-            incremental=True,
+        plain = detect_each_date(
+            tiny_universe, self.DATES, substrate=ColumnarSubstrate()
         )
         for (date, want), (_, got) in zip(plain, resumed):
             assert as_mapping(want) == as_mapping(got), date
@@ -321,16 +316,12 @@ class TestArchivedSeries:
         path = tmp_path_factory.mktemp("churn") / "series.sparch"
         split = max(1, len(dates) // 2)
         detect_series(
-            shim, dates[:split], substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            shim, dates[:split], substrate=ColumnarSubstrate(), archive=path,
         )
         resumed = detect_series(
-            shim, dates, substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            shim, dates, substrate=ColumnarSubstrate(), archive=path,
         )
-        full = detect_series(
-            shim, dates, substrate=ColumnarSubstrate(), incremental=False
-        )
+        full = detect_each_date(shim, dates, substrate=ColumnarSubstrate())
         assert [d for d, _ in resumed] == dates
         for (date, want), (_, got) in zip(full, resumed):
             assert as_mapping(want) == as_mapping(got), date
@@ -365,8 +356,7 @@ class TestArchivedSeries:
         snapshots = [snapshot_from_table(date, table) for date in dates]
         path = tmp_path / "rib.sparch"
         shim = SeriesShim(snapshots)
-        detect_series(shim, dates, substrate=ColumnarSubstrate(),
-                      incremental=True, archive=path)
+        detect_series(shim, dates, substrate=ColumnarSubstrate(), archive=path)
 
         from test_incremental_pipeline import make_annotator
 
@@ -377,12 +367,9 @@ class TestArchivedSeries:
             ),
         )
         recomputed = detect_series(
-            changed, dates, substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            changed, dates, substrate=ColumnarSubstrate(), archive=path,
         )
-        plain = detect_series(
-            changed, dates, substrate=ColumnarSubstrate(), incremental=True
-        )
+        plain = detect_each_date(changed, dates, substrate=ColumnarSubstrate())
         for (date, want), (_, got) in zip(plain, recomputed):
             assert as_mapping(want) == as_mapping(got), date
 
@@ -397,8 +384,7 @@ class TestArchivedSeries:
                     newest[date.isoformat()].annotator_signature == new_digest
                 ), f"stale generation still newest for {date}"
         replayed = detect_series(
-            changed, dates, substrate=ColumnarSubstrate(),
-            incremental=True, archive=path,
+            changed, dates, substrate=ColumnarSubstrate(), archive=path,
         )
         for (date, want), (_, got) in zip(plain, replayed):
             assert as_mapping(want) == as_mapping(got), date
@@ -410,7 +396,7 @@ def archived_state(tiny_universe, tmp_path_factory):
     path = tmp_path_factory.mktemp("state") / "state.sparch"
     detect_series(
         tiny_universe, TestArchivedSeries.DATES[:2],
-        substrate=ColumnarSubstrate(), incremental=True, archive=path,
+        substrate=ColumnarSubstrate(), archive=path,
     )
     with ArchiveReader.open(path) as reader:
         generation = reader.latest(STATE_KIND)

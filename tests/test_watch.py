@@ -28,8 +28,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import as_mapping, detect_each_date
 from test_incremental_pipeline import (
     BASE_DATE,
+    V4_POOL,
     SeriesShim,
     make_annotator,
     snapshot_from_table,
@@ -92,7 +94,7 @@ def _series():
 def _expected():
     snapshots = _series()
     shim = SeriesShim(snapshots)
-    return detect_series(shim, [s.date for s in snapshots], incremental=True)
+    return detect_series(shim, [s.date for s in snapshots])
 
 
 def _archived_siblings(path):
@@ -460,6 +462,49 @@ class TestWatcher:
             assert archived[date.isoformat()].same_pairs(siblings)
         assert registry.counter("watch.generations").value == appended
         assert registry.counter("watch.snapshots").value == len(expected)
+
+    def test_annotator_change_mid_feed_rebuilds_and_matches_oracle(
+        self, tmp_path, monkeypatch
+    ):
+        """A routing change mid-feed takes the rebuild branch: every
+        archived generation equals per-date detection, and the index is
+        built in full only on the first date and on the changed one."""
+        import repro.analysis.pipeline as pipeline
+
+        snapshots = _series()
+        dates = [snapshot.date for snapshot in snapshots]
+        before = make_annotator()
+        # A more-specific inside pool 0 re-annotates a.example's address.
+        after = make_annotator(next(V4_POOL[0].subnets(25)))
+
+        def annotator_for(date):
+            return before if date < dates[2] else after
+
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        for snapshot in snapshots:
+            write_snapshot_file(snapshot, feed)
+        builds = []
+        real_build_index = pipeline.build_index
+        monkeypatch.setattr(
+            pipeline, "build_index",
+            lambda snapshot, annotator: builds.append(snapshot.date)
+            or real_build_index(snapshot, annotator),
+        )
+        archive = tmp_path / "watch.sparch"
+        watcher = SnapshotWatcher(
+            SnapshotDirectorySource(feed), annotator_for, archive
+        )
+        assert watcher.run(once=True) == len(dates)
+        assert builds == [dates[0], dates[2]]
+
+        oracle = detect_each_date(
+            SeriesShim(snapshots, annotator_for_date=annotator_for), dates
+        )
+        archived = _archived_siblings(archive)
+        assert sorted(archived) == [date.isoformat() for date in dates]
+        for date, siblings in oracle:
+            assert as_mapping(archived[date.isoformat()]) == as_mapping(siblings)
 
     def test_replay_is_idempotent(self, tmp_path):
         feed = tmp_path / "feed"
