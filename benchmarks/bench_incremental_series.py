@@ -1,11 +1,12 @@
-"""Full vs incremental detect-series over a churning snapshot sequence.
+"""Per-date detection vs the rolling detect-series over a churning series.
 
-The incremental pipeline's promise: a 10-date longitudinal run whose
+The rolling index's promise: a 10-date longitudinal run whose
 consecutive snapshots differ in ≤ 10 % of domains should cost roughly
 one full detection plus nine delta-sized updates, not ten full
-detections.  This bench drives both modes of
-:func:`repro.analysis.pipeline.detect_series` over synthetic series at
-three scales — per date ~8 % of domains churn (half renumber inside
+detections.  This bench times a per-date
+:func:`repro.analysis.pipeline.detect_at` loop ("full") against
+:func:`repro.analysis.pipeline.detect_series` ("incremental") over
+synthetic series at three scales — per date ~8 % of domains churn (half renumber inside
 their prefixes, a quarter move prefixes, the rest appear/disappear) —
 and records the wall-time ratio.  The acceptance bar from the PR 4
 issue, incremental ≥ 3× full at the medium scale, is asserted on every
@@ -23,7 +24,7 @@ import time
 
 import pytest
 
-from repro.analysis.pipeline import detect_series
+from repro.analysis.pipeline import detect_at, detect_series
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.core.substrate import ColumnarSubstrate
@@ -182,19 +183,21 @@ def _flush_results() -> None:
     )
 
 
+def _detect_each_date(shim, dates):
+    """Every date detected from scratch on one shared engine."""
+    engine = ColumnarSubstrate()
+    return [(date, detect_at(shim, date, substrate=engine)[0]) for date in dates]
+
+
 @pytest.mark.parametrize("scale", list(SCALES))
 def test_incremental_series_speedup(scale):
     """Wall time of the 10-date series, both modes, equivalence checked."""
     shim, dates = _build_series(scale)
     n_domains, _ = SCALES[scale]
 
-    full_elapsed, full = _best_of(
-        lambda: detect_series(shim, dates, substrate=ColumnarSubstrate())
-    )
+    full_elapsed, full = _best_of(lambda: _detect_each_date(shim, dates))
     incremental_elapsed, incremental = _best_of(
-        lambda: detect_series(
-            shim, dates, substrate=ColumnarSubstrate(), incremental=True
-        )
+        lambda: detect_series(shim, dates, substrate=ColumnarSubstrate())
     )
     assert _as_mappings(full) == _as_mappings(incremental)  # bit-identical
 

@@ -74,7 +74,7 @@ def _flush_results() -> None:
 def _run(name: str, scale: int):
     universe = build_event_universe(name, base=_POPULATION, scale=scale)
     start = time.perf_counter()
-    results = detect_series(universe, universe.dates, incremental=True)
+    results = detect_series(universe, universe.dates)
     elapsed = time.perf_counter() - start
     score = score_series(results, universe.ledger, scenario=name)
     script = universe.script

@@ -186,7 +186,7 @@ def test_watch_replay_publish_lag(scale, tmp_path):
     assert service.index.snapshot == dates[-1]
 
     # Equivalence: every archived generation matches a batch run.
-    expected = detect_series(_SeriesShim(snapshots), dates, incremental=True)
+    expected = detect_series(_SeriesShim(snapshots), dates)
     with ArchiveReader.open(archive) as reader:
         pool_names = reader.pool_names()
         by_date = reader.generations_by_date(substrate_io.SIBLINGS_KIND)
