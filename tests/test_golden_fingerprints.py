@@ -15,7 +15,13 @@ tier-1 on every Python version in the CI matrix:
 * the ``repro detect --tune 28,96 --format csv`` export, which must
   also equal the pin the benchmark checks (``perfbench/workloads.py``),
 * the tiny ``repro detect-series --format csv`` export on both date
-  grids (``--offsets paper`` and ``stability``).
+  grids (``--offsets paper`` and ``stability``), and
+* every archive segment (and the meta) that
+  :func:`~repro.storage.index_io.index_segments` writes for a fixed pair
+  list with narrow and wide (longer than /64) IPv6 groups.  The
+  round-trip tests cannot see a layout drift, because the writer and the
+  reader change together; this pin can, so archives written earlier
+  keep opening.
 
 Two more pins hold the identity strings every archive generation
 stores: the reference-date annotator digest and the reference-date
@@ -26,12 +32,17 @@ a drift would silently force every archive to rebuild.
 
 import datetime
 import hashlib
+import json
 
 import pytest
 
 from repro.cli import main
 from repro.core.domainsets import build_index
 from repro.dates import REFERENCE_DATE
+from repro.nettypes.prefix import Prefix
+from repro.publish import PublishedPair
+from repro.serving.index import SiblingLookupIndex
+from repro.storage.index_io import index_segments
 from repro.storage.substrate_io import annotator_digest
 from repro.synth import build_universe
 
@@ -191,3 +202,64 @@ def test_csv_pins_match_the_benchmark():
     assert {scale: pins[2] for scale, pins in GOLDEN.items()} == (
         workloads.DETECT_CSV_SHA256
     )
+
+
+def segment_pin_pairs() -> list[PublishedPair]:
+    """A fixed pair list: nested IPv4 lengths, IPv6 groups at and beyond
+    /64 (the wide-key segment), prefixes shared between pairs (posting
+    lists longer than one) and every ``same_org``/ROV shape."""
+    v4 = [Prefix.parse(text) for text in (
+        "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32",
+        "192.0.2.0/24", "198.51.100.0/24",
+    )]
+    v6 = [Prefix.parse(text) for text in (
+        "2001:db8::/32", "2001:db8:1::/48", "2001:db8:1:2::/64",
+        "2001:db8:1:2:3::/80", "2001:db8:1:2:3:4::/96",
+        "2001:db8:1:2:3:4:5:6/128", "2001:db8:ffff::/48",
+    )]
+    rov = (None, "both-valid", "v4-only", "invalid")
+    same_org = (None, True, False)
+    pairs = []
+    for slot in range(12):
+        pairs.append(PublishedPair(
+            v4_prefix=v4[slot % len(v4)],
+            v6_prefix=v6[(slot * 3) % len(v6)],
+            jaccard=(slot + 1) / 13,
+            shared_domains=slot + 1,
+            v4_domains=slot + 2,
+            v6_domains=slot + 3,
+            same_org=same_org[slot % 3],
+            rov_status=rov[slot % 4],
+        ))
+    return pairs
+
+
+#: segment name (and ``"meta"``) -> sha256 of what ``index_segments``
+#: writes for :func:`segment_pin_pairs`.  The u64/u32 segments are in
+#: native byte order; the pins are for little-endian hosts.
+INDEX_SEGMENTS = {
+    "index.records": "4ab932be85819718e7403c0898df18b70591946d5996cd02dcddbfc0da775841",
+    "index.v4.keys": "727032ab9e5d7e61f6fe1d599c2c88993a8ec7180bb4ca71d4f2235f27e5dfcf",
+    "index.v4.wide": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "index.v4.postings": "03a6564bdc0a46de443f0bb3a013fd8711c9be5c7b464d73738089e2f9f8e193",
+    "index.v4.offsets": "a1b77455694bb985cda486d35445642e303a2ecb54eb4f0c79650a98337863cf",
+    "index.v6.keys": "8a7a12946e5376b02e50de443a0ed58fcc1117232d6155ab280d6945286f315c",
+    "index.v6.wide": "ec3f4eabd9bc0eca0d2963581cce4a6ac87a3d7dcfa9112d35671b5c06bfca5b",
+    "index.v6.postings": "c850c46527dfd73ded4c4ab3b984dd3abe173493a85971995af24c228a74a109",
+    "index.v6.offsets": "21696a721cc680ef126228f77edb8a54c7992063b15676d37156088c0a704543",
+    "meta": "4f0270f3dbb75698b59e6c923b0edafec6c36a2bcbd0da705666228441369246",
+}
+
+
+def test_index_segments_pinned():
+    index = SiblingLookupIndex.from_pairs(segment_pin_pairs(), REFERENCE_DATE)
+    assert index.stats()["v6_lengths"][0] > 64  # the wide segment is used
+    segments, meta = index_segments(index)
+    digests = {
+        name: hashlib.sha256(bytes(payload)).hexdigest()
+        for name, payload in segments.items()
+    }
+    digests["meta"] = hashlib.sha256(
+        json.dumps(meta, sort_keys=True).encode()
+    ).hexdigest()
+    assert digests == INDEX_SEGMENTS
