@@ -307,7 +307,12 @@ def _detect_series_archived(
             if archived and len(archived) < len(dates):
                 engine, pool = _pool_for_archive(engine, pool_names)
                 rolling = _resumed(
-                    reader, universe, archived[-1][0], engine, pool_names
+                    reader,
+                    universe,
+                    archived[-1][0],
+                    dates[len(archived)],
+                    engine,
+                    pool_names,
                 )
     remaining = dates[len(archived):]
     if not remaining:
@@ -325,14 +330,17 @@ def _resumed(
     reader,
     universe: Universe,
     date: datetime.date,
+    next_date: datetime.date,
     engine: Substrate,
     pool_names: list[str],
 ) -> RollingDetection:
     """A roll seeded from the archived columnar state of *date*.
 
-    The state is adopted only when it was archived for *date* itself
-    and the rebuilt index's content signature matches the archived one;
-    otherwise the returned roll starts from scratch.
+    The state is adopted only when it was archived for *date* itself,
+    the routing does not change between *date* and *next_date* (else
+    the roll would rebuild at once) and the rebuilt index's content
+    signature matches the archived one; otherwise the returned roll
+    starts from scratch.
     """
     from repro.storage import substrate_io
 
@@ -343,8 +351,10 @@ def _resumed(
         or not isinstance(engine, ColumnarSubstrate)
     ):
         return RollingDetection(engine)
-    snapshot = universe.snapshot_at(date)
     annotator = universe.annotator_at(date)
+    if annotator.signature() != universe.annotator_at(next_date).signature():
+        return RollingDetection(engine)
+    snapshot = universe.snapshot_at(date)
     index = build_index(snapshot, annotator)
     if state_generation.index_signature != index.content_signature():
         return RollingDetection(engine)

@@ -151,14 +151,6 @@ class ScenarioScore:
         return _f1(self.precision, self.recall)
 
     @property
-    def min_precision(self) -> float:
-        return min((s.precision for s in self.dates), default=1.0)
-
-    @property
-    def min_recall(self) -> float:
-        return min((s.recall for s in self.dates), default=1.0)
-
-    @property
     def trap_positives(self) -> int:
         return self._totals()[2]
 

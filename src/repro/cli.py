@@ -15,8 +15,7 @@ Subcommands:
   renumber, rotation, aliased, orgchurn, mixed) through the rolling
   detection loop — or the full watch daemon with ``--via watch`` — and score
   detection exactly against the generator's ground-truth ledger
-  (``--score``); ``detect-series --events NAME --score`` does the same
-  over the plain series command.
+  (``--score``).
 * ``lookup``     — longest-prefix-match query against a ``.sparch``
   archive (``mmap`` attach) or a CSV export (streamed).
 * ``serve``      — stand up the JSON HTTP lookup endpoint over a CSV
@@ -47,7 +46,7 @@ from repro.core.sptuner import SpTunerMS, TunerConfig
 from repro.dates import REFERENCE_DATE
 
 
-def _add_substrate_options(command: argparse.ArgumentParser) -> None:
+def _add_stats_option(command: argparse.ArgumentParser) -> None:
     """The shared ``--stats`` flag."""
     command.add_argument(
         "--stats",
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--min-jaccard", type=float, default=0.0, help="similarity floor"
     )
-    _add_substrate_options(detect)
+    _add_stats_option(detect)
 
     series = sub.add_parser(
         "detect-series", help="detect over a longitudinal date series"
@@ -117,21 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the run resumes from the archived substrate state), and newly "
         "detected dates are appended",
     )
-    series.add_argument(
-        "--events",
-        metavar="NAME",
-        help="run over a scripted event scenario (see `repro scenario "
-        "list`) instead of a calibrated universe; the date grid comes "
-        "from the event script and --scenario/--offsets are ignored",
-    )
-    series.add_argument(
-        "--score",
-        action="store_true",
-        help="after the run, print per-date precision/recall/F1 and "
-        "churn-lag against the event script's ground-truth ledger "
-        "(requires --events)",
-    )
-    _add_substrate_options(series)
+    _add_stats_option(series)
 
     experiment = sub.add_parser("experiment", help="run a per-figure experiment")
     experiment.add_argument("experiment_id", help="e.g. fig05, sec42")
@@ -192,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the `repro watch` daemon (archive-backed), then score the "
         "archived generations",
     )
-    _add_substrate_options(scenario)
+    _add_stats_option(scenario)
 
     lookup = sub.add_parser("lookup", help="query an exported list (LPM)")
     lookup.add_argument(
@@ -273,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also serve lookups plus /v1/status and /v1/metrics over "
         "HTTP on this port (0 = pick a free port; omit to run headless)",
     )
-    _add_substrate_options(watch)
+    _add_stats_option(watch)
 
     archive = sub.add_parser(
         "archive", help="verify or repair a .sparch snapshot archive"
@@ -405,28 +390,11 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
     )
     from repro.synth import build_universe
 
-    if args.score and not args.events:
-        print("error: --score needs --events NAME (only event scripts "
-              "carry a ground-truth ledger)", file=sys.stderr)
-        return 2
-    if args.events:
-        from repro.synth.events import build_event_universe
-
-        try:
-            universe = build_event_universe(args.events)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        dates = universe.dates
-        label_of = {date: f"t{i}" for i, date in enumerate(dates)}
-    else:
-        offsets_fn = (
-            paper_offsets if args.offsets == "paper" else stability_offsets
-        )
-        labelled = offsets_fn(REFERENCE_DATE)
-        label_of = {date: label for label, date in labelled}
-        universe = build_universe(args.scenario)
-        dates = [date for _, date in labelled]
+    offsets_fn = paper_offsets if args.offsets == "paper" else stability_offsets
+    labelled = offsets_fn(REFERENCE_DATE)
+    label_of = {date: label for label, date in labelled}
+    universe = build_universe(args.scenario)
+    dates = [date for _, date in labelled]
     series = detect_series(universe, dates, archive=args.archive)
 
     stream = open(args.output, "w") if args.output else sys.stdout
@@ -454,14 +422,6 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
     finally:
         if args.output:
             stream.close()
-    if args.score:
-        from repro.analysis.quality import render_score, score_series
-
-        print(
-            render_score(
-                score_series(series, universe.ledger, scenario=args.events)
-            )
-        )
     if args.stats:
         _print_stage_stats()
     return 0
@@ -606,7 +566,7 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
 
     from repro import publish
     from repro.nettypes.prefix import PrefixError
-    from repro.serving.index import parse_query
+    from repro.serving.index import parse_query, scan_lookup
     from repro.storage.format import ArchiveFormatError
     from repro.storage.index_io import load_mapped_index
 
@@ -616,8 +576,6 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    hits = []
-    matched = None
     try:
         if _is_archive(args.list_file):
             # Archive: mmap-attach the newest index, answer by bisection.
@@ -626,20 +584,10 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
                 result = index.lookup(query)
             finally:
                 index.close()
-            if result is not None:
-                matched, hits = result.matched, list(result.pairs)
         else:
-            # CSV export: stream rows, keep only the longest match.
+            # CSV export: one streamed pass keeps only the longest match.
             with open(args.list_file) as stream:
-                for pair in publish.stream_csv(stream):
-                    stored = (
-                        pair.v4_prefix if query.version == 4 else pair.v6_prefix
-                    )
-                    if stored.length <= query.length and stored.contains(query):
-                        if matched is None or stored.length > matched.length:
-                            matched, hits = stored, [pair]
-                        elif stored == matched:
-                            hits.append(pair)
+                result = scan_lookup(publish.stream_csv(stream), query)
     except OSError as exc:
         print(f"error: cannot read {args.list_file!r}: {exc}", file=sys.stderr)
         return 2
@@ -652,10 +600,10 @@ def _cmd_lookup(args: argparse.Namespace) -> int:
         print(f"error: {args.list_file!r}: {exc}", file=sys.stderr)
         return 2
 
-    if matched is None:
+    if result is None:
         print(f"no sibling pair covers {query}")
         return 1
-    for pair in hits:
+    for pair in result.pairs:
         print(
             f"{pair.v4_prefix} <-> {pair.v6_prefix}  J={pair.jaccard:.3f} "
             f"domains={pair.shared_domains}"

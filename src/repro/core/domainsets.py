@@ -329,20 +329,6 @@ class PrefixDomainIndex:
             self.v6_domains.setdefault(prefix, set()).add(domain)
         added_entries.append((domain, v4_prefixes, v6_prefixes))
 
-    def origin_asns(self, annotator_rib) -> tuple[set[int], set[int]]:
-        """Origin AS sets of the indexed v4 and v6 prefixes."""
-        v4 = set()
-        for prefix in self.v4_domains:
-            route = annotator_rib.exact_route(prefix)
-            if route is not None:
-                v4.update(route.origins)
-        v6 = set()
-        for prefix in self.v6_domains:
-            route = annotator_rib.exact_route(prefix)
-            if route is not None:
-                v6.update(route.origins)
-        return v4, v6
-
 
 def _annotate_entry(
     raw_v4: Iterable[int],

@@ -65,14 +65,6 @@ class SiblingSet:
 
     # -- views -----------------------------------------------------------------
 
-    def pairs_of_v4(self, prefix: Prefix) -> list[SiblingPair]:
-        """Every pair whose IPv4 side is *prefix*."""
-        return [p for p in self._pairs.values() if p.v4_prefix == prefix]
-
-    def pairs_of_v6(self, prefix: Prefix) -> list[SiblingPair]:
-        """Every pair whose IPv6 side is *prefix*."""
-        return [p for p in self._pairs.values() if p.v6_prefix == prefix]
-
     def unique_v4_prefixes(self) -> set[Prefix]:
         """The distinct IPv4 prefixes appearing in any pair."""
         return {p.v4_prefix for p in self._pairs.values()}

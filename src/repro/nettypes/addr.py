@@ -36,16 +36,6 @@ def max_value(version: int) -> int:
         raise AddressError(f"unknown IP version: {version!r}") from None
 
 
-def check_version(version: int) -> int:
-    """Validate *version*, returning it unchanged.
-
-    Raises :class:`AddressError` for anything other than 4 or 6.
-    """
-    if version not in _MAX_VALUE:
-        raise AddressError(f"unknown IP version: {version!r}")
-    return version
-
-
 def check_value(version: int, value: int) -> int:
     """Validate that *value* fits in an address of *version*."""
     if not 0 <= value <= max_value(version):

@@ -8,25 +8,31 @@ a read-only structure answering two query shapes:
 * **covering enumeration** — every stored prefix containing a query,
   shortest first, for consumers that want the whole nesting chain.
 
-Layout.  Per family the stored prefixes are grouped by prefix length;
-each group keeps its prefixes as a *sorted packed-integer array* of
-network keys (:attr:`~repro.nettypes.prefix.Prefix.network_key` — the
-network bits right-aligned, so a /24 is a 24-bit integer) plus an
-aligned tuple of posting lists (indices into the shared pair table).  A
-point query masks the address once per populated length — longest
-first — and binary-searches the group's key array; the first hit *is*
-the longest match, because equal keys at equal lengths are exactly
-containment.  With ≤ 32 (v4) / ≤ 128 (v6) possible lengths and far
-fewer populated ones in practice, a lookup costs a handful of
-``bisect`` calls regardless of how many pairs are stored, where the
-CSV-scanning path the CLI used before this subsystem paid O(pairs)
-per query.
+Layout.  Per family the stored prefixes are grouped by prefix length,
+longest first, and every group lives in a handful of flat buffers:
 
-Keys are stored in ``array('Q')`` wherever they fit the portable
-64-bit unsigned slot (always for IPv4; IPv6 lengths ≤ 64, i.e. every
-routed prefix); the rare longer-than-/64 IPv6 groups fall back to a
-tuple of Python ints.  Both support the same ``bisect`` protocol, so
-the query path does not branch on the representation.
+* **narrow keys** — one ``u64`` buffer holding the sorted network keys
+  (:attr:`~repro.nettypes.prefix.Prefix.network_key` — the network bits
+  right-aligned, so a /24 is a 24-bit integer) of every group at most 64
+  bits long: all of IPv4 and every routed IPv6 length;
+* **wide keys** — 16-byte big-endian keys for the rare IPv6 groups
+  longer than /64, read through :class:`_WideKeys`;
+* **postings** — one ``u32`` buffer of pair-table positions, with a
+  ``u64`` offsets buffer aligned with the concatenated keys;
+* **groups** — the ``[length, count]`` list that cuts the key buffers
+  into groups.
+
+These are exactly the buffers a ``.sparch`` archive stores
+(:mod:`repro.storage.index_io`): :meth:`SiblingLookupIndex.from_pairs`
+compiles into fresh arrays, and an archive attach hands the same class
+``mmap`` views.  One :class:`_FamilyIndex` probes both.  A point query
+masks the address once per populated length — longest first — and
+binary-searches the group's keys; the first hit *is* the longest match,
+because equal keys at equal lengths are exactly containment.  With
+≤ 32 (v4) / ≤ 128 (v6) possible lengths and far fewer populated ones in
+practice, a lookup costs a handful of ``bisect`` calls regardless of how
+many pairs are stored, where a scan of the pair list
+(:func:`scan_lookup`) pays O(pairs) per query.
 
 The index is deliberately immutable: publishing a new detection
 snapshot means compiling a fresh index and atomically swapping it into
@@ -49,8 +55,11 @@ from repro.nettypes.addr import MAX_LENGTH, format_address
 from repro.nettypes.prefix import Prefix, PrefixError
 from repro.publish import PublishedPair
 
-#: Per-group packed keys fit ``array('Q')`` up to this network-bit width.
-_ARRAY_KEY_BITS = 64
+#: Keys at most this many network bits live in the ``u64`` buffer.
+_NARROW_BITS = 64
+
+#: Bytes per wide (``> /64`` IPv6) key.
+_WIDE_KEY_BYTES = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,30 +87,99 @@ class LookupResult:
         }
 
 
+class _WideKeys:
+    """Bisectable view over 16-byte big-endian keys (IPv6 ``> /64``)."""
+
+    __slots__ = ("_view", "_start", "_count")
+
+    def __init__(self, view: memoryview, start: int, count: int):
+        self._view = view
+        self._start = start
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, position: int) -> int:
+        offset = (self._start + position) * _WIDE_KEY_BYTES
+        return int.from_bytes(
+            self._view[offset:offset + _WIDE_KEY_BYTES], "big"
+        )
+
+
 class _FamilyIndex:
-    """The per-family (IPv4 or IPv6) compiled search structure."""
+    """One family's (IPv4 or IPv6) search structure over flat buffers.
 
-    __slots__ = ("version", "bits", "lengths", "keys", "postings", "size")
+    *narrow*, *wide*, *postings* and *offsets* are any bytes-like
+    objects in the layout the module docstring describes — fresh arrays
+    from :meth:`compile` or ``mmap`` views of an archive segment — and
+    *groups* the ``[length, count]`` list, longest length first.  A hit
+    returns its posting list as a ``u32`` view slice.
+    """
 
-    def __init__(self, version: int, by_length: dict[int, dict[int, list[int]]]):
+    __slots__ = ("version", "bits", "groups", "lengths", "size", "narrow",
+                 "wide", "postings", "offsets", "_probes")
+
+    def __init__(
+        self,
+        version: int,
+        groups: Iterable[Sequence[int]],
+        narrow,
+        wide,
+        postings,
+        offsets,
+    ):
         self.version = version
         self.bits = MAX_LENGTH[version]
+        self.groups = tuple((int(length), int(count)) for length, count in groups)
         #: Populated prefix lengths, longest first (LPM probe order).
-        self.lengths: tuple[int, ...] = tuple(sorted(by_length, reverse=True))
-        self.keys: list[Sequence[int]] = []
-        self.postings: list[tuple[tuple[int, ...], ...]] = []
-        self.size = 0
-        for length in self.lengths:
-            group = by_length[length]
-            sorted_keys = sorted(group)
-            packed: Sequence[int]
-            if length <= _ARRAY_KEY_BITS:
-                packed = array("Q", sorted_keys)
+        self.lengths = tuple(length for length, _count in self.groups)
+        self.narrow = memoryview(narrow).cast("B").cast("Q")
+        self.wide = memoryview(wide).cast("B")
+        self.postings = memoryview(postings).cast("B").cast("I")
+        self.offsets = memoryview(offsets).cast("B").cast("Q")
+        #: Per group in probe order: (length, keys sequence, global base).
+        self._probes: list[tuple[int, Sequence[int], int]] = []
+        narrow_base = wide_base = base = 0
+        for length, count in self.groups:
+            if length <= _NARROW_BITS:
+                keys: Sequence[int] = self.narrow[narrow_base:narrow_base + count]
+                narrow_base += count
             else:
-                packed = tuple(sorted_keys)
-            self.keys.append(packed)
-            self.postings.append(tuple(tuple(group[key]) for key in sorted_keys))
-            self.size += len(sorted_keys)
+                keys = _WideKeys(self.wide, wide_base, count)
+                wide_base += count
+            self._probes.append((length, keys, base))
+            base += count
+        self.size = base
+        if len(self.offsets) != base + 1:
+            raise ValueError(
+                f"family {version} offsets segment holds "
+                f"{len(self.offsets)} entries, expected {base + 1}"
+            )
+
+    @classmethod
+    def compile(
+        cls, version: int, by_length: dict[int, dict[int, list[int]]]
+    ) -> "_FamilyIndex":
+        """Pack ``{length: {key: [pair positions]}}`` into the buffers."""
+        groups = []
+        narrow = array("Q")
+        wide = bytearray()
+        postings = array("I")
+        offsets = array("Q", [0])
+        for length in sorted(by_length, reverse=True):
+            group = by_length[length]
+            keys = sorted(group)
+            groups.append((length, len(keys)))
+            if length <= _NARROW_BITS:
+                narrow.extend(keys)
+            else:
+                for key in keys:
+                    wide += key.to_bytes(_WIDE_KEY_BYTES, "big")
+            for key in keys:
+                postings.extend(group[key])
+                offsets.append(len(postings))
+        return cls(version, groups, narrow, wide, postings, offsets)
 
     def lookup(self, value: int, max_length: int | None = None):
         """LPM for integer address *value*: ``(prefix, posting)`` or None.
@@ -109,30 +187,31 @@ class _FamilyIndex:
         *max_length* bounds the match (prefix queries may only be
         covered by prefixes at most as long as themselves).
         """
-        for slot, length in enumerate(self.lengths):
+        for length, keys, base in self._probes:
             if max_length is not None and length > max_length:
                 continue
-            keys = self.keys[slot]
             key = value >> (self.bits - length) if length else 0
             position = bisect_left(keys, key)
             if position < len(keys) and keys[position] == key:
                 prefix = Prefix.from_network_key(self.version, key, length)
-                return prefix, self.postings[slot][position]
+                start = self.offsets[base + position]
+                end = self.offsets[base + position + 1]
+                return prefix, self.postings[start:end]
         return None
 
     def covering(self, value: int, max_length: int):
         """Every stored prefix containing *value*, shortest first."""
         found = []
-        for slot in range(len(self.lengths) - 1, -1, -1):
-            length = self.lengths[slot]
+        for length, keys, base in reversed(self._probes):
             if length > max_length:
                 continue
-            keys = self.keys[slot]
             key = value >> (self.bits - length) if length else 0
             position = bisect_left(keys, key)
             if position < len(keys) and keys[position] == key:
                 prefix = Prefix.from_network_key(self.version, key, length)
-                found.append((prefix, self.postings[slot][position]))
+                start = self.offsets[base + position]
+                end = self.offsets[base + position + 1]
+                found.append((prefix, self.postings[start:end]))
         return found
 
 
@@ -185,7 +264,7 @@ class SiblingLookupIndex:
                 group = by_family[prefix.version].setdefault(prefix.length, {})
                 group.setdefault(prefix.network_key, []).append(position)
         families = {
-            version: _FamilyIndex(version, by_length)
+            version: _FamilyIndex.compile(version, by_length)
             for version, by_length in by_family.items()
         }
         return cls(table, snapshot, families)
@@ -309,33 +388,32 @@ class SiblingLookupIndex:
 
 
 def scan_lookup(
-    pairs: Sequence[PublishedPair], query: "str | Prefix"
+    pairs: Iterable[PublishedPair], query: "str | Prefix"
 ) -> LookupResult | None:
-    """Brute-force LPM over an uncompiled pair list.
+    """Brute-force LPM in one pass over an uncompiled pair stream.
 
-    The O(pairs)-per-query baseline the old CLI ``lookup`` effectively
-    was; kept as the second oracle for the equivalence tests and as the
-    comparison leg of ``benchmarks/bench_serving_lookup.py``.
+    The O(pairs)-per-query path: ``repro lookup FILE.csv`` answers
+    through it while streaming the export, and it is the second oracle
+    for the equivalence tests and the comparison leg of
+    ``benchmarks/bench_serving_lookup.py``.  The hits keep stream order.
     """
     prefix = Prefix.parse(query) if isinstance(query, str) else query
-    best: Prefix | None = None
+    matched: Prefix | None = None
+    hits: list[PublishedPair] = []
     for pair in pairs:
         stored = pair.v4_prefix if prefix.version == 4 else pair.v6_prefix
         if stored.length <= prefix.length and stored.contains(prefix):
-            if best is None or stored.length > best.length:
-                best = stored
-    if best is None:
+            if matched is None or stored.length > matched.length:
+                matched, hits = stored, [pair]
+            elif stored == matched:
+                hits.append(pair)
+    if matched is None:
         return None
-    matched = best
     return LookupResult(
         query=str(query),
         version=prefix.version,
         matched=matched,
-        pairs=tuple(
-            pair
-            for pair in pairs
-            if (pair.v4_prefix if prefix.version == 4 else pair.v6_prefix) == matched
-        ),
+        pairs=tuple(hits),
     )
 
 

@@ -95,10 +95,6 @@ class Generation:
             name: tuple(desc) for name, desc in entry["segments"].items()
         }
 
-    def has_segment(self, name: str) -> bool:
-        """Whether this generation recorded a segment called *name*."""
-        return name in self._segments
-
     def segment(self, name: str) -> memoryview:
         """CRC-validated zero-copy view of one named segment."""
         try:

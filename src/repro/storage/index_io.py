@@ -1,27 +1,27 @@
 """Compiled lookup indexes inside the archive: write once, mmap forever.
 
-A :class:`~repro.serving.index.SiblingLookupIndex` is already laid out
-as flat sorted key arrays + posting lists; this module persists exactly
-that layout into per-generation archive segments and attaches to it
-zero-copy:
+A :class:`~repro.serving.index.SiblingLookupIndex` already keeps each
+family in flat buffers (see :mod:`repro.serving.index`); this module
+writes those buffers as they are into per-generation archive segments
+and attaches to them zero-copy:
 
-* **keys** — per family, the sorted packed network keys of every
-  length group, concatenated in probe order (longest length first).
-  Keys that fit 64 bits land in a native ``u64`` segment a reader
-  casts with ``memoryview.cast("Q")`` and bisects *in place*; the rare
-  longer-than-/64 IPv6 groups go to a separate 16-byte-big-endian
-  segment wrapped by :class:`_WideKeys` (same bisect protocol, decoded
-  per probe).
-* **postings** — one family-global ``u32`` array of pair-table
-  positions plus a ``u64`` offsets array aligned with the concatenated
-  keys; a hit slices its posting list out of the view.
+* **keys** — ``index.v{4,6}.keys``, the native ``u64`` narrow keys, and
+  ``index.v{4,6}.wide``, the 16-byte big-endian keys of IPv6 groups
+  longer than /64;
+* **postings** — ``index.v{4,6}.postings``, the family-global ``u32``
+  pair-table positions, and ``index.v{4,6}.offsets``, the ``u64``
+  offsets aligned with the concatenated keys;
+* **groups** — the ``[length, count]`` list, stored in the generation's
+  ``index`` meta;
 * **records** — one fixed 44-byte record per pair
   (:func:`pack_records`), decoded *lazily*: :class:`MappedPairTable`
   materializes a :class:`~repro.publish.PublishedPair` only for the
   records a query actually returns.
 
-Cold start therefore costs one manifest parse — no pair objects, no
-sort, no group compilation — which is what
+:func:`attach_index` hands the segment views to the same family class a
+fresh compile builds, so the mapped and in-memory indexes run one probe
+loop.  Cold start costs one manifest parse — no pair objects, no sort,
+no group compilation — which is what
 ``benchmarks/bench_archive_coldstart.py`` measures against parsing and
 compiling a CSV export.  Answers are bit-identical to the in-memory
 index (``tests/test_storage_archive.py`` property-tests this).
@@ -32,22 +32,13 @@ from __future__ import annotations
 import datetime
 import pathlib
 import struct
-from array import array
-from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
-from repro.nettypes.addr import MAX_LENGTH
 from repro.nettypes.prefix import Prefix, PrefixError
 from repro.publish import PublishedPair
-from repro.serving.index import SiblingLookupIndex
+from repro.serving.index import SiblingLookupIndex, _FamilyIndex
 from repro.storage.archive import ArchiveReader, Generation
 from repro.storage.format import ArchiveFormatError
-
-#: Keys at most this many network bits live in the castable u64 segment.
-_NARROW_BITS = 64
-
-#: Bytes per wide (``> /64`` IPv6) key.
-_WIDE_KEY_BYTES = 16
 
 #: Manifest meta kind for these segments.
 KIND = "index"
@@ -145,36 +136,19 @@ def index_segments(index: SiblingLookupIndex) -> tuple[dict, dict]:
 
     Returns ``(segments, meta)`` for
     :meth:`~repro.storage.archive.ArchiveWriter.append_generation`.
-    The segment payloads mirror the in-memory layout of
-    :class:`~repro.serving.index.SiblingLookupIndex` so the mapped
-    reader does no recompilation.
+    Each family's buffers are written as they are, so the mapped reader
+    does no recompilation.
     """
     records, rov_table = pack_records(index.pairs)
     segments: dict[str, bytes] = {"index.records": records}
     families_meta: dict[str, list] = {}
     for version in (4, 6):
         family = index._families[version]
-        narrow = array("Q")
-        wide = bytearray()
-        postings = array("I")
-        offsets = array("Q", [0])
-        groups_meta = []
-        for slot, length in enumerate(family.lengths):
-            keys = family.keys[slot]
-            groups_meta.append([length, len(keys)])
-            if length <= _NARROW_BITS:
-                narrow.extend(keys)
-            else:
-                for key in keys:
-                    wide += key.to_bytes(_WIDE_KEY_BYTES, "big")
-            for posting in family.postings[slot]:
-                postings.extend(posting)
-                offsets.append(len(postings))
-        segments[f"index.v{version}.keys"] = narrow.tobytes()
-        segments[f"index.v{version}.wide"] = bytes(wide)
-        segments[f"index.v{version}.postings"] = postings.tobytes()
-        segments[f"index.v{version}.offsets"] = offsets.tobytes()
-        families_meta[str(version)] = groups_meta
+        segments[f"index.v{version}.keys"] = family.narrow.tobytes()
+        segments[f"index.v{version}.wide"] = family.wide.tobytes()
+        segments[f"index.v{version}.postings"] = family.postings.tobytes()
+        segments[f"index.v{version}.offsets"] = family.offsets.tobytes()
+        families_meta[str(version)] = [list(group) for group in family.groups]
     meta = {
         "snapshot": index.snapshot.isoformat(),
         "pairs": len(index.pairs),
@@ -246,128 +220,20 @@ class MappedPairTable(Sequence):
             yield self[position]
 
 
-class _WideKeys:
-    """Bisectable view over 16-byte big-endian keys (IPv6 ``> /64``)."""
-
-    __slots__ = ("_view", "_start", "_count")
-
-    def __init__(self, view: memoryview, start: int, count: int):
-        self._view = view
-        self._start = start
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, position: int) -> int:
-        offset = (self._start + position) * _WIDE_KEY_BYTES
-        return int.from_bytes(
-            self._view[offset:offset + _WIDE_KEY_BYTES], "big"
-        )
-
-
-class _MappedFamily:
-    """The mapped counterpart of ``serving.index._FamilyIndex``.
-
-    Same probe algorithm — mask the query once per populated length,
-    longest first, bisect the length's key array — but the key arrays
-    are cast ``mmap`` views and the posting list of a hit is a ``u32``
-    view slice.  Interface-compatible with ``_FamilyIndex`` as far as
-    :class:`~repro.serving.index.SiblingLookupIndex` consumes it
-    (``lookup``, ``covering``, ``lengths``, ``size``).
-    """
-
-    __slots__ = ("version", "bits", "lengths", "size", "_groups",
-                 "_offsets", "_postings")
-
-    def __init__(
-        self,
-        version: int,
-        groups_meta: Sequence[Sequence[int]],
-        keys_view: memoryview,
-        wide_view: memoryview,
-        postings_view: memoryview,
-        offsets_view: memoryview,
-    ):
-        self.version = version
-        self.bits = MAX_LENGTH[version]
-        self.lengths = tuple(int(length) for length, _count in groups_meta)
-        narrow_keys = keys_view.cast("Q")
-        self._offsets = offsets_view.cast("Q")
-        self._postings = postings_view.cast("I")
-        #: Per group in probe order: (length, keys sequence, global base).
-        self._groups: list[tuple[int, Sequence[int], int]] = []
-        narrow_base = wide_base = global_base = 0
-        for length, count in ((int(l), int(c)) for l, c in groups_meta):
-            if length <= _NARROW_BITS:
-                keys: Sequence[int] = narrow_keys[
-                    narrow_base:narrow_base + count
-                ]
-                narrow_base += count
-            else:
-                keys = _WideKeys(wide_view, wide_base, count)
-                wide_base += count
-            self._groups.append((length, keys, global_base))
-            global_base += count
-        self.size = global_base
-        if len(self._offsets) != global_base + 1:
-            raise ArchiveFormatError(
-                f"family {version} offsets segment holds "
-                f"{len(self._offsets)} entries, expected {global_base + 1}"
-            )
-
-    def lookup(self, value: int, max_length: "int | None" = None):
-        """LPM for integer address *value*: ``(prefix, posting)`` or None."""
-        for length, keys, base in self._groups:
-            if max_length is not None and length > max_length:
-                continue
-            key = value >> (self.bits - length) if length else 0
-            position = bisect_left(keys, key)
-            if position < len(keys) and keys[position] == key:
-                prefix = Prefix.from_network_key(self.version, key, length)
-                start = self._offsets[base + position]
-                end = self._offsets[base + position + 1]
-                return prefix, self._postings[start:end]
-        return None
-
-    def covering(self, value: int, max_length: int):
-        """Every stored prefix containing *value*, shortest first."""
-        found = []
-        for slot in range(len(self._groups) - 1, -1, -1):
-            length, keys, base = self._groups[slot]
-            if length > max_length:
-                continue
-            key = value >> (self.bits - length) if length else 0
-            position = bisect_left(keys, key)
-            if position < len(keys) and keys[position] == key:
-                prefix = Prefix.from_network_key(self.version, key, length)
-                start = self._offsets[base + position]
-                end = self._offsets[base + position + 1]
-                found.append((prefix, self._postings[start:end]))
-        return found
-
-
 class MappedSiblingIndex(SiblingLookupIndex):
-    """A :class:`~repro.serving.index.SiblingLookupIndex` served out of
-    an ``mmap``-ed archive generation.
+    """A :class:`~repro.serving.index.SiblingLookupIndex` over the
+    ``mmap``-ed segments of an archive generation.
 
-    Query behaviour and answers are identical to the in-memory class it
-    subclasses — only the storage differs: keys, postings, and pair
-    records stay in the page cache; pairs materialize per answer.  The
-    index holds the :class:`~repro.storage.archive.ArchiveReader` it
-    was attached through (when it owns one) and must be :meth:`close`-d
-    — or simply dropped — only after its answers are no longer in use.
+    Its families are the ones a fresh compile builds, over segment views
+    instead of arrays, so queries run the same code and give the same
+    answers; keys, postings and pair records stay in the page cache and
+    pairs materialize per answer.  All this class adds is ownership of
+    the :class:`~repro.storage.archive.ArchiveReader` it was loaded
+    through (:func:`load_mapped_index`): :meth:`close` it — or simply
+    drop it — only after its answers are no longer in use.
     """
 
-    def __init__(
-        self,
-        pairs: MappedPairTable,
-        snapshot: datetime.date,
-        families: dict,
-        reader: "ArchiveReader | None" = None,
-    ):
-        super().__init__(pairs, snapshot, families)
-        self._reader = reader
+    _reader: "ArchiveReader | None" = None
 
     def close(self) -> None:
         """Release the owned archive mapping, if any (idempotent).
@@ -408,17 +274,18 @@ def attach_index(
     pairs = MappedPairTable(
         generation.segment("index.records"), count, rov_table
     )
-    families = {
-        version: _MappedFamily(
-            version,
-            families_meta[str(version)],
-            generation.segment(f"index.v{version}.keys"),
-            generation.segment(f"index.v{version}.wide"),
-            generation.segment(f"index.v{version}.postings"),
-            generation.segment(f"index.v{version}.offsets"),
-        )
-        for version in (4, 6)
-    }
+    families = {}
+    for version in (4, 6):
+        views = [
+            generation.segment(f"index.v{version}.{name}")
+            for name in ("keys", "wide", "postings", "offsets")
+        ]
+        try:
+            families[version] = _FamilyIndex(
+                version, families_meta[str(version)], *views
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveFormatError(f"malformed index family: {exc}") from exc
     return MappedSiblingIndex(pairs, snapshot, families)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.determinism import key_bytes, prefix_hasher, stable_choice, stable_hash
+from repro.determinism import key_bytes, prefix_hasher, stable_choice
 
 _ADJECTIVES = (
     "blue", "rapid", "quiet", "solar", "iron", "amber", "polar", "vivid",
@@ -48,8 +48,3 @@ def domain_name(domain_id: int, tld: str | None = None) -> str:
     if tld is None:
         tld = TLDS[_DOMAIN_TLD(key) % (len(TLDS) - 1)]  # .fr pinned only
     return f"{adjective}-{noun}-{domain_id}.{tld}"
-
-
-def host_label(deployment_id: int, slot: int) -> str:
-    """A hostname label for generated CNAME targets."""
-    return f"edge-{stable_hash('edge', deployment_id, slot) % 997:03d}"

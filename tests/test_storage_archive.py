@@ -302,6 +302,46 @@ class TestArchivedSeries:
             assert "state" in reader.generations[-1].meta
             assert reader.verify() > 0
 
+    def test_resume_skips_build_when_routing_changes_next(
+        self, tiny_universe, tmp_path, monkeypatch
+    ):
+        """Extending the stock paper grid from its first five dates: the
+        routing changes right after the resume date, so the resume date's
+        index is never built or restored, and only the three dates whose
+        routing changed are built."""
+        import repro.analysis.pipeline as pipeline
+
+        dates = [date for _, date in pipeline.paper_offsets(REFERENCE_DATE)]
+        path = tmp_path / "paper.sparch"
+        detect_series(
+            tiny_universe, dates[:5], substrate=ColumnarSubstrate(),
+            archive=path,
+        )
+
+        built = []
+        real_build_index = pipeline.build_index
+
+        def counting_build_index(snapshot, annotator):
+            built.append(snapshot.date)
+            return real_build_index(snapshot, annotator)
+
+        monkeypatch.setattr(pipeline, "build_index", counting_build_index)
+        resumed = detect_series(
+            tiny_universe, dates, substrate=ColumnarSubstrate(), archive=path,
+        )
+        assert built == [
+            datetime.date(2024, 6, 11),
+            datetime.date(2024, 8, 11),
+            datetime.date(2024, 9, 4),
+        ]
+
+        plain = detect_each_date(
+            tiny_universe, dates, substrate=ColumnarSubstrate()
+        )
+        assert [d for d, _ in resumed] == dates
+        for (date, want), (_, got) in zip(plain, resumed):
+            assert as_mapping(want) == as_mapping(got), date
+
     @settings(max_examples=15, deadline=None)
     @given(tables=churn_series())
     def test_property_archived_resume_equals_full(self, tables, tmp_path_factory):

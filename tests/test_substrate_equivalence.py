@@ -13,7 +13,7 @@ import pytest
 
 from conftest import as_mapping
 
-from repro.core.detection import BestMatchMode
+from repro.core.detection import BestMatchMode, compute_pair_stats
 from repro.core.domainsets import build_index
 from repro.core.metrics import METRICS_FROM_COUNTS
 from repro.core.setpairs import build_set_pairs
@@ -104,6 +104,24 @@ def test_identical_set_pairs(index):
     columnar = build_set_pairs(siblings, index, substrate=ColumnarSubstrate())
     assert len(reference) > 0
     assert as_key(reference) == as_key(columnar)
+
+
+def test_columnar_counts_equal_reference_stats(index):
+    """Step 3 alone: the columnar view holds one row per indexed prefix
+    and its packed shared-domain counts equal the reference pair stats."""
+    state = ColumnarSubstrate().columnarize(index)
+    assert len(state.v4_prefixes) == index.v4_prefix_count
+    assert len(state.v6_prefixes) == index.v6_prefix_count
+    counts = {
+        (state.v4_prefixes[key >> 32], state.v6_prefixes[key & 0xFFFFFFFF]): count
+        for key, count in ColumnarSubstrate.pair_counts(state).items()
+    }
+    reference = {
+        (stats.v4_prefix, stats.v6_prefix): len(stats.shared_domains)
+        for stats in compute_pair_stats(index)
+    }
+    assert reference
+    assert counts == reference
 
 
 def test_interned_pool_reuse_is_exact():
