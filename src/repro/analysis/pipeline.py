@@ -211,7 +211,14 @@ def _append_archive(
     published_by_date: "dict | None" = None,
     raw: bool = True,
 ) -> None:
-    """Append newly computed dates (and the final state) to the archive.
+    """Append newly computed dates to the archive.
+
+    Each generation holds the date's sibling list and lookup index.
+    With a *final_index* and a columnar *engine*, the last date also
+    carries the engine's columnar state and the index's content
+    signature, which a later :func:`detect_series` resumes from;
+    ``detect-series --archive`` and ``detect --archive`` pass one, the
+    ``repro watch`` loop does not.
 
     *raw* records whether the sibling lists are untransformed detection
     output; tuned or filtered lists are archived with ``raw: false`` so

@@ -397,13 +397,15 @@ class SnapshotWatcher:
         with trace("watch.detect"):
             siblings = self._rolling.advance(snapshot, annotator)
         with trace("watch.append"):
+            # No final index, so no columnar state: a restarted watcher
+            # starts a fresh roll, and nothing else would read it.
             _append_archive(
                 self.archive,
                 _SingleDateUniverse(snapshot, annotator),
                 [(date, siblings)],
                 self._pool,
                 self._rolling.engine,
-                self._rolling.index,
+                None,
             )
         self._archived[date.isoformat()] = digest
         self.generations += 1
@@ -446,8 +448,13 @@ class SnapshotWatcher:
         ``once=True`` drains the currently visible backlog and returns
         (the replay/benchmark mode); otherwise the loop sleeps
         ``poll_interval`` between empty polls until *stop* is set (or
-        *max_generations* new generations landed).
+        *max_generations* new generations landed).  *max_generations*
+        below 1 raises :class:`ValueError`.
         """
+        if max_generations is not None and max_generations < 1:
+            raise ValueError(
+                f"max_generations must be at least 1, got {max_generations}"
+            )
         stop = stop if stop is not None else threading.Event()
         appended = 0
         while not stop.is_set():

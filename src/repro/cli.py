@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="S",
-        help="seconds between source polls when idle",
+        help="seconds between source polls when idle (above 0)",
     )
     watch.add_argument(
         "--budget",
@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="exit after appending N new generations",
+        help="exit after appending N new generations (N >= 1)",
     )
     watch.add_argument("--host", default="127.0.0.1")
     watch.add_argument(
@@ -677,6 +677,20 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     directory = args.directory
     import pathlib
 
+    # Each check is written so that NaN fails it too.
+    for flag, value, ok, rule in (
+        ("--poll-interval", args.poll_interval, args.poll_interval > 0, "above 0"),
+        ("--budget", args.budget, args.budget >= 0, "0 (off) or above"),
+        (
+            "--max-generations",
+            args.max_generations,
+            args.max_generations is None or args.max_generations >= 1,
+            "at least 1",
+        ),
+    ):
+        if not ok:
+            print(f"error: {flag} must be {rule}, got {value}", file=sys.stderr)
+            return 2
     if not pathlib.Path(directory).is_dir():
         print(f"error: {directory!r} is not a directory", file=sys.stderr)
         return 2

@@ -35,6 +35,17 @@ class SiblingPair:
         return self.similarity >= 1.0
 
 
+def pair_order(pair) -> tuple[int, int, int, int, int, int]:
+    """Sort key for any pair with ``v4_prefix`` and ``v6_prefix``.
+
+    The same order as ``(pair.v4_prefix, pair.v6_prefix)``, as plain
+    integers, so a sort compares tuples of ints instead of calling
+    :class:`~repro.nettypes.prefix.Prefix` comparisons.
+    """
+    v4, v6 = pair.v4_prefix, pair.v6_prefix
+    return (v4.version, v4.value, v4.length, v6.version, v6.value, v6.length)
+
+
 class SiblingSet:
     """A collection of sibling pairs for one snapshot date."""
 

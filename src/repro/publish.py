@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from repro.analysis.organizations import pair_origins
-from repro.core.siblings import SiblingSet
+from repro.core.siblings import SiblingSet, pair_order
 from repro.nettypes.prefix import Prefix
 from repro.obs.tracing import trace
 from repro.rpki.pair_status import classify_pair
@@ -90,7 +90,7 @@ def enrich_pairs(
     with trace("publish.enrich", items=len(siblings)):
         rib = universe.rib_at(date)
         published: list[PublishedPair] = []
-        for pair in sorted(siblings, key=lambda p: (p.v4_prefix, p.v6_prefix)):
+        for pair in sorted(siblings, key=pair_order):
             origins = pair_origins(universe, pair, date)
             same_org = origins.same_org if origins.v4_asn is not None else None
             rov_status = None

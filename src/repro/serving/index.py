@@ -50,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.siblings import SiblingSet
+from repro.core.siblings import SiblingSet, pair_order
 from repro.nettypes.addr import MAX_LENGTH, format_address
 from repro.nettypes.prefix import Prefix, PrefixError
 from repro.publish import PublishedPair
@@ -255,9 +255,7 @@ class SiblingLookupIndex:
         snapshot: datetime.date,
     ) -> "SiblingLookupIndex":
         """Compile *pairs* (deterministically sorted) into an index."""
-        table = tuple(
-            sorted(pairs, key=lambda pair: (pair.v4_prefix, pair.v6_prefix))
-        )
+        table = tuple(sorted(pairs, key=pair_order))
         by_family: dict[int, dict[int, dict[int, list[int]]]] = {4: {}, 6: {}}
         for position, pair in enumerate(table):
             for prefix in (pair.v4_prefix, pair.v6_prefix):

@@ -36,7 +36,7 @@ from collections import Counter
 from typing import Callable, Iterable
 
 from repro.core.kernels import sorted_columns
-from repro.core.siblings import SiblingPair, SiblingSet
+from repro.core.siblings import SiblingPair, SiblingSet, pair_order
 from repro.core.substrate import _ColumnarState
 from repro.nettypes.prefix import Prefix
 from repro.storage.archive import Generation
@@ -161,7 +161,7 @@ def siblings_segments(
     """
     records = bytearray()
     gid_lists: list[list[int]] = []
-    ordered = sorted(siblings, key=lambda pair: (pair.v4_prefix, pair.v6_prefix))
+    ordered = sorted(siblings, key=pair_order)
     for pair in ordered:
         records += _SIBLING_RECORD.pack(
             pair.v4_prefix.value,

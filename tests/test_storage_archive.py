@@ -42,6 +42,7 @@ from test_incremental_pipeline import (
 from repro.analysis.pipeline import archive_detection, detect_series
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
+from repro.core.siblings import SiblingPair, pair_order
 from repro.core.substrate import ColumnarSubstrate, get_substrate
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_address
@@ -576,6 +577,56 @@ def test_annotator_digest_follows_rib_mutations(steps):
             if not routes[prefix]:
                 del routes[prefix]
         assert annotator_digest(annotator) == fresh_annotator_digest(routes)
+
+
+def _prefixes(version):
+    """Prefixes of one family; the coarse values collide across lengths
+    (``10.0.0.0/8`` and ``10.0.0.0/16``), the fine ones rarely do."""
+    bits = 32 if version == 4 else 128
+    value = st.integers(0, 3).map(lambda top: top << (bits - 2)) | st.integers(
+        0, 2**bits - 1
+    )
+    return st.builds(
+        lambda value, length: Prefix.from_address(version, value, length),
+        value,
+        st.integers(0, bits),
+    )
+
+
+@st.composite
+def _pairs(draw):
+    """Sibling and published pairs over small prefix pools, so v4 ties,
+    (v4, v6) ties and equal-key duplicates all occur."""
+    v4_pool = draw(st.lists(_prefixes(4), min_size=1, max_size=4))
+    v6_pool = draw(st.lists(_prefixes(6), min_size=1, max_size=4))
+    pairs = []
+    for v4, v6, count, published in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(v4_pool),
+                st.sampled_from(v6_pool),
+                st.integers(1, 9),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    ):
+        if published:
+            pairs.append(PublishedPair(v4, v6, 0.5, 1, count, count, None, None))
+        else:
+            pairs.append(SiblingPair(v4, v6, 0.5, frozenset(), count, count))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_pairs())
+def test_property_pair_order_matches_prefix_order(pairs):
+    """``pair_order`` sorts exactly as ``(v4_prefix, v6_prefix)``,
+    equal keys included: the stable sort keeps the same objects in the
+    same places."""
+    by_prefixes = sorted(pairs, key=lambda pair: (pair.v4_prefix, pair.v6_prefix))
+    by_integers = sorted(pairs, key=pair_order)
+    assert [id(pair) for pair in by_integers] == [id(pair) for pair in by_prefixes]
 
 
 class TestServiceIntegration:

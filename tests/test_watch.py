@@ -38,7 +38,9 @@ from test_incremental_pipeline import (
 )
 
 from repro.analysis import watch as watch_module
-from repro.analysis.pipeline import detect_series
+from repro.analysis.pipeline import archive_detection, detect_at, detect_series
+from repro.cli import main
+from repro.core.substrate import ColumnarSubstrate
 from repro.analysis.watch import (
     MAX_PARSE_RETRIES,
     SnapshotDirectorySource,
@@ -644,6 +646,145 @@ class TestWatcher:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert done["appended"] == len(_TABLES) - 2
+
+
+class TestRunBounds:
+    """Bounds the loop cannot honour are refused before any work."""
+
+    def test_max_generations_below_one_raises(self, tmp_path):
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        for snapshot in _series():
+            write_snapshot_file(snapshot, feed)
+        archive = tmp_path / "watch.sparch"
+        watcher = _make_watcher(feed, archive)
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="max_generations"):
+                watcher.run(max_generations=bound)
+        assert watcher.generations == 0
+        assert _archived_siblings(archive) == {}
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-generations", "0"),
+            ("--max-generations", "-3"),
+            ("--poll-interval", "0"),
+            ("--poll-interval", "-0.5"),
+            ("--poll-interval", "nan"),
+            ("--budget", "-1"),
+        ],
+    )
+    def test_cli_rejects_bad_bounds(self, tmp_path, capsys, flag, value):
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        write_snapshot_file(_series()[0], feed)
+        archive = tmp_path / "watch.sparch"
+        assert main(
+            ["watch", str(feed), "--archive", str(archive), "--once", flag, value]
+        ) == 2
+        assert f"error: {flag}" in capsys.readouterr().err
+        assert not archive.exists()
+
+
+class TestWatchArchiveContents:
+    """A watch generation holds what a reader uses: the sibling list and
+    the lookup index, no columnar state."""
+
+    def test_generations_carry_no_state(self, tmp_path):
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        for snapshot in _series():
+            write_snapshot_file(snapshot, feed)
+        archive = tmp_path / "watch.sparch"
+        assert _make_watcher(feed, archive).run(once=True) == len(_TABLES)
+        with ArchiveReader.open(archive) as reader:
+            assert len(reader.generations) == len(_TABLES)
+            for generation in reader.generations:
+                assert substrate_io.STATE_KIND not in generation.meta
+                assert substrate_io.SIBLINGS_KIND in generation.meta
+                assert "index" in generation.meta
+                assert generation.index_signature is None
+
+    def test_detect_series_extends_a_watch_archive(self, tmp_path, monkeypatch):
+        """``detect_series`` over a watcher's archive loads the watched
+        dates, finds no state to resume from, starts a fresh roll on the
+        first new date, and equals per-date detection."""
+        import repro.analysis.pipeline as pipeline
+
+        snapshots = _series()
+        dates = [snapshot.date for snapshot in snapshots]
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        for snapshot in snapshots[:2]:
+            write_snapshot_file(snapshot, feed)
+        archive = tmp_path / "watch.sparch"
+        assert _make_watcher(feed, archive).run(once=True) == 2
+
+        def no_restore(*args, **kwargs):
+            raise AssertionError("a watch archive has no state to restore")
+
+        builds = []
+        real_build_index = pipeline.build_index
+        monkeypatch.setattr(substrate_io, "restore_state", no_restore)
+        monkeypatch.setattr(
+            pipeline, "build_index",
+            lambda snapshot, annotator: builds.append(snapshot.date)
+            or real_build_index(snapshot, annotator),
+        )
+        universe = SeriesShim(snapshots)
+        extended = detect_series(
+            universe, dates, substrate=ColumnarSubstrate(), archive=archive
+        )
+        assert builds == [dates[2]]
+        oracle = detect_each_date(universe, dates)
+        assert [date for date, _ in extended] == dates
+        for (date, want), (_, got) in zip(oracle, extended):
+            assert as_mapping(got) == as_mapping(want), date
+        with ArchiveReader.open(archive) as reader:
+            assert [g.date for g in reader.generations] == [
+                date.isoformat() for date in dates
+            ]
+            # detect-series still archives state for its final date.
+            assert substrate_io.STATE_KIND in reader.generations[-1].meta
+            assert reader.verify() > 0
+
+    def test_watcher_resumes_an_archive_with_state(self, tmp_path):
+        """An archive whose newest generation carries state (as every
+        archive a watcher wrote before did) is skipped past and appended
+        to as usual."""
+        snapshots = _series()
+        universe = SeriesShim(snapshots)
+        first = snapshots[0].date
+        siblings, index = detect_at(universe, first, substrate=ColumnarSubstrate())
+        archive = tmp_path / "watch.sparch"
+        archive_detection(
+            archive, universe, first, siblings, index=index,
+            substrate=ColumnarSubstrate(),
+        )
+        with ArchiveReader.open(archive) as reader:
+            assert substrate_io.STATE_KIND in reader.generations[-1].meta
+            assert reader.generations[-1].index_signature is not None
+
+        feed = tmp_path / "feed"
+        feed.mkdir()
+        for snapshot in snapshots:
+            write_snapshot_file(snapshot, feed)
+        registry = MetricsRegistry()
+        watcher = _make_watcher(feed, archive, registry=registry)
+        assert watcher.generations == 1
+        assert watcher.run(once=True) == len(_TABLES) - 1
+        assert registry.counter("watch.snapshots").value == len(_TABLES)
+        expected = _expected()
+        archived = _archived_siblings(archive)
+        assert sorted(archived) == [date.isoformat() for date, _ in expected]
+        for date, want in expected:
+            assert archived[date.isoformat()].same_pairs(want)
+        with ArchiveReader.open(archive) as reader:
+            assert [g.date for g in reader.generations] == sorted(archived)
+            assert [
+                substrate_io.STATE_KIND in g.meta for g in reader.generations
+            ] == [True] + [False] * (len(_TABLES) - 1)
 
 
 # -- SIGKILL replay stress ----------------------------------------------------
