@@ -1,8 +1,8 @@
 """Pipeline plumbing shared by the analyses and benches.
 
 All entry points accept a ``substrate=`` argument (name or
-:class:`~repro.core.substrate.Substrate` instance) and default to the
-shared columnar engine; :func:`detect_series` resolves the substrate
+:class:`~repro.core.substrate.Substrate` instance) and default to a
+fresh columnar engine; :func:`detect_series` resolves the substrate
 once so a longitudinal run reuses one interned domain table across every
 snapshot it detects on.
 
@@ -10,9 +10,10 @@ Every multi-date run — :func:`detect_series` and the ``repro watch``
 daemon (:mod:`repro.analysis.watch`) — rolls one
 :class:`RollingDetection` forward: the first date builds its index in
 full, every later date applies the snapshot delta to the *same*
-evolving index (re-annotating only churned domains) and lets the
-substrate patch its persistent Step-3 counters, so detection cost
-scales with daily churn instead of dataset size.  The roll is exact —
+evolving index (re-annotating only churned domains) and hands each
+index delta to the substrate, which patches its persistent Step-3
+counters, so detection cost scales with daily churn instead of dataset
+size.  The roll is exact —
 bit-identical to :func:`detect_at` on every date — because delta
 application is gated on the annotator's content signature: a date whose
 routing tables changed rebuilds from scratch, automatically.
@@ -38,7 +39,12 @@ from repro.core.detection import detect_with_index
 from repro.core.domainsets import PrefixDomainIndex, build_index
 from repro.core.siblings import SiblingSet
 from repro.core.sptuner import SpTunerMS, TunerConfig
-from repro.core.substrate import ColumnarSubstrate, Substrate, get_substrate
+from repro.core.substrate import (
+    ColumnarSubstrate,
+    DomainPool,
+    Substrate,
+    get_substrate,
+)
 from repro.dates import add_months
 from repro.obs.tracing import trace
 from repro.synth.universe import Universe
@@ -74,10 +80,11 @@ class RollingDetection:
     whenever the annotator's content signature changed (a routing change
     can re-annotate *any* domain, not just churned ones); otherwise it
     applies the :class:`~repro.dns.openintel.SnapshotDelta` from the
-    previous snapshot to the same index, and *engine* patches its cached
-    columnar view and persistent Step-3 counters from the recorded index
-    deltas.  Each date's sibling set equals :func:`detect_at` on that
-    date.  The roll may be seeded with an *index* and the *snapshot* and
+    previous snapshot to the same index and hands the resulting index
+    delta to :meth:`engine.patch <repro.core.substrate.Substrate.patch>`,
+    which patches its columnar view and persistent Step-3 counters.
+    Each date's sibling set equals :func:`detect_at` on that date.  The
+    roll may be seeded with an *index* and the *snapshot* and
     annotator *signature* it was built from (archive resume).
     """
 
@@ -104,7 +111,8 @@ class RollingDetection:
                 delta = self._snapshot.delta_to(snapshot)
                 span.add_items(delta.touched_domains)
             with trace("series.delta_apply", items=delta.touched_domains):
-                self.index.apply_delta(delta, annotator)
+                index_delta = self.index.apply_delta(delta, annotator)
+            self.engine.patch(self.index, index_delta)
         self._snapshot = snapshot
         self._signature = signature
         with trace("step34.select") as span:
@@ -147,9 +155,9 @@ def detect_series(
     date when it matches, and every newly computed date is appended to
     the archive (sibling list + compiled lookup index, plus the final
     date's substrate state).  Results stay bit-identical to an
-    archiveless run; if the resolved engine's intern pool has diverged
-    from the archived one, a fresh private engine of the same class is
-    used for the run instead.
+    archiveless run; if a passed engine's intern pool has diverged from
+    the archived one, a fresh engine of the same class is used for the
+    run instead.
     """
     engine = get_substrate(substrate)
     if archive is not None:
@@ -159,46 +167,26 @@ def detect_series(
     return _roll(RollingDetection(engine), universe, dates)
 
 
-class _StandalonePool:
-    """A gid pool for archiving runs whose engine has no intern pool
-    (the reference substrate): positional names + a name → gid dict."""
-
-    def __init__(self, names: Iterable[str] = ()):
-        self.names = list(names)
-        self._gids = {name: gid for gid, name in enumerate(self.names)}
-
-    def intern(self, name: str) -> int:
-        """The pool gid for *name*, allocated on first sight."""
-        gid = self._gids.get(name)
-        if gid is None:
-            gid = len(self.names)
-            self._gids[name] = gid
-            self.names.append(name)
-        return gid
-
-    def export_pool(self) -> list[str]:
-        """Snapshot of the pool, gid order (mirrors the substrate API)."""
-        return list(self.names)
-
-
 def _pool_for_archive(engine: Substrate, pool_names: list[str]):
     """The (engine, pool) pair an archived run writes gids against.
 
-    A columnar engine must share its intern pool with the
-    archive (archived state CSR data *is* pool gids); adoption fails
-    only when this process's shared engine already interned a
-    different universe, in which case a fresh private engine of the
-    same class takes over — exactness beats instance sharing.
+    A columnar engine must share its intern pool with the archive
+    (archived state CSR data *is* pool gids); adoption fails only when
+    a passed engine already interned a different universe, in which
+    case a fresh engine of the same class takes over — exactness beats
+    instance reuse.  Other engines write against a new
+    :class:`~repro.core.substrate.DomainPool`.
     """
-    if isinstance(engine, ColumnarSubstrate):
-        try:
-            engine.adopt_pool(pool_names)
-        except ValueError:
-            fresh = type(engine)()
-            fresh.adopt_pool(pool_names)
-            engine = fresh
-        return engine, engine
-    return engine, _StandalonePool(pool_names)
+    if not isinstance(engine, ColumnarSubstrate):
+        pool = DomainPool()
+        pool.adopt(pool_names)
+        return engine, pool
+    try:
+        engine.pool.adopt(pool_names)
+    except ValueError:
+        engine = type(engine)()
+        engine.pool.adopt(pool_names)
+    return engine, engine.pool
 
 
 def _append_archive(
@@ -276,7 +264,7 @@ def _append_archive(
                 annotator_signature=digest,
                 index_signature=index_signature,
             )
-        writer.append_pool(pool.export_pool()[writer.pool_count:])
+        writer.append_pool(pool.names[writer.pool_count:])
 
 
 def _detect_series_archived(
@@ -391,7 +379,9 @@ def archive_detection(
     enriched pairs when given, else from the raw *siblings*), and —
     when *index* is the detection's :class:`PrefixDomainIndex` and the
     engine is columnar — the substrate state, so a later
-    ``detect-series --archive`` resumes from this date.  A date already
+    ``detect-series --archive`` resumes from this date.  Pass the
+    engine that detected as *substrate*: a fresh one archives the
+    state without its Step-3 counter.  A date already
     archived under the same annotator digest is skipped (appends are
     idempotent per (date, annotator digest); a date whose routing
     changed gets a new generation).  Creates the archive if missing;

@@ -7,7 +7,7 @@ Subcommands:
   append it with its compiled lookup index to a ``.sparch`` snapshot
   archive (``--archive``).
 * ``detect-series`` — run detection over a longitudinal date series
-  (one shared substrate/intern pool across all snapshots); with
+  (one substrate/intern pool across all snapshots); with
   ``--archive`` the series resumes from / appends to an archive.
 * ``experiment`` — run any registered per-figure experiment.
 * ``scenarios``  — list the available scenario presets.
@@ -310,14 +310,19 @@ def _parse_thresholds(text: str) -> TunerConfig:
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.detection import detect_with_index
     from repro.core.siblings import SiblingSet
+    from repro.core.substrate import get_substrate
     from repro import publish
     from repro.obs.tracing import trace
     from repro.synth import build_universe
 
     universe = build_universe(args.scenario)
+    # One engine for detection and --archive: the archived state carries
+    # the Step-3 counter only from the engine that accumulated it.
+    engine = get_substrate()
     siblings, index = detect_with_index(
         universe.snapshot_at(REFERENCE_DATE),
         universe.annotator_at(REFERENCE_DATE),
+        substrate=engine,
     )
     if args.tune:
         config = _parse_thresholds(args.tune)
@@ -345,6 +350,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             REFERENCE_DATE,
             siblings,
             index=index,
+            substrate=engine,
             published=published,
             raw=not (args.tune or args.min_jaccard > 0.0),
         )

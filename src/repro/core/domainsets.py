@@ -8,19 +8,19 @@ to both the similarity matrix (Step 3) and the SP-Tuner tries.
 
 The index itself stays a dict-of-sets; the Step 3-4 substrates
 (:mod:`repro.core.substrate`) derive their own layouts from it.  The
-columnar substrate caches its interned posting-list view directly on the
-index object (one conversion per snapshot), so repeated detection runs —
-different metrics, best-match modes, or SP-Tuner sweeps — reuse it.
+columnar engine holds its interned posting-list view of the index it
+last prepared (one conversion per snapshot), so repeated detection runs
+on that engine — different metrics, best-match modes, or SP-Tuner
+sweeps — reuse it.
 
 The index is also *incrementally maintainable*: :meth:`PrefixDomainIndex.
 apply_delta` replays a :class:`~repro.dns.openintel.SnapshotDelta` in
 place (re-running the Steps 1-2 annotation only for the touched domains)
-and records the membership changes as an :class:`IndexDelta` in a short
-log.  Substrates use that log to *patch* their cached derived views
-instead of rebuilding them — the contract is the :attr:`PrefixDomainIndex.
-version` counter: every mutation bumps it (external mutators must call
-:meth:`PrefixDomainIndex.mark_mutated`), and any cached view keyed on an
-older version is stale.
+and returns the membership changes as an :class:`IndexDelta`.  The
+caller hands that delta to the engine's :meth:`~repro.core.substrate.
+Substrate.patch`, which patches its derived view instead of rebuilding
+it.  That is the one way an index changes under an engine: an index
+edited by hand needs a fresh engine.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from repro.dns.openintel import DnsSnapshot, SnapshotDelta
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
 from repro.obs.tracing import trace
-
-#: How many :class:`IndexDelta` entries an index keeps for view patching;
-#: a cached view lagging further behind simply rebuilds from scratch.
-DELTA_LOG_LIMIT = 64
 
 #: Sentinel distinguishing "no precomputed annotation" from the ``None``
 #: that :func:`_annotate_entry` returns for an unusable entry.
@@ -56,7 +52,6 @@ class IndexDelta:
     is precisely what makes delta application cheap under address churn.
     """
 
-    version: int
     date: datetime.date
     removed: tuple[tuple[str, frozenset[Prefix], frozenset[Prefix]], ...]
     added: tuple[tuple[str, frozenset[Prefix], frozenset[Prefix]], ...]
@@ -86,14 +81,6 @@ class PrefixDomainIndex:
     #: The labels behind :attr:`dropped_domains` — needed so deltas can
     #: transition a domain between dropped and indexed exactly.
     dropped_labels: set[str] = field(default_factory=set, repr=False)
-    #: Mutation counter.  Cached derived views (the columnar state) are
-    #: keyed on it; every in-place change must bump it, either through
-    #: :meth:`apply_delta` or :meth:`mark_mutated`.
-    version: int = 0
-    #: Recent (version, IndexDelta) entries, newest last, for view patching.
-    _delta_log: list[IndexDelta] = field(
-        default_factory=list, repr=False, compare=False
-    )
     #: The prefix entries :meth:`content_signature` used last time.
     _signature_entries: dict[Prefix, tuple[int, int, bytes]] = field(
         default_factory=dict, repr=False, compare=False
@@ -169,37 +156,6 @@ class PrefixDomainIndex:
         self._signature_entries = entries
         return digest.hexdigest()
 
-    # -- mutation protocol ----------------------------------------------------
-
-    def mark_mutated(self) -> None:
-        """Declare an external in-place mutation of the index.
-
-        Bumps :attr:`version` without recording an :class:`IndexDelta`,
-        so cached derived views cannot patch across the change and must
-        rebuild.  Anything that edits the membership dicts by hand
-        (tests, ad-hoc analyses) must call this — the columnar cache's
-        structural fingerprint cannot detect count-preserving edits
-        such as moving a domain between equal-sized prefixes.
-        """
-        self.version += 1
-
-    def deltas_since(self, version: int) -> "list[IndexDelta] | None":
-        """The contiguous delta chain from *version* to :attr:`version`.
-
-        Returns ``None`` when the chain is broken — the log was trimmed,
-        or :meth:`mark_mutated` bumped the version without a delta — in
-        which case a cached view must rebuild rather than patch.
-        """
-        if version == self.version:
-            return []
-        chain = [d for d in self._delta_log if d.version > version]
-        if not chain:
-            return None
-        expected = range(version + 1, self.version + 1)
-        if [d.version for d in chain] != list(expected):
-            return None
-        return chain
-
     def apply_delta(
         self, delta: SnapshotDelta, annotator: PrefixAnnotator
     ) -> IndexDelta:
@@ -214,8 +170,8 @@ class PrefixDomainIndex:
         :func:`build_index` of the new snapshot.
 
         Returns the :class:`IndexDelta` describing the membership
-        changes; it is also appended to the index's delta log so cached
-        columnar views can patch themselves forward.
+        changes, for the engine's :meth:`~repro.core.substrate.
+        Substrate.patch`.
         """
         removed_entries: list[tuple[str, frozenset[Prefix], frozenset[Prefix]]] = []
         added_entries: list[tuple[str, frozenset[Prefix], frozenset[Prefix]]] = []
@@ -251,17 +207,11 @@ class PrefixDomainIndex:
             self._insert_observation(observation, annotator, added_entries)
 
         self.date = delta.new_date
-        self.version += 1
-        index_delta = IndexDelta(
-            version=self.version,
+        return IndexDelta(
             date=self.date,
             removed=tuple(removed_entries),
             added=tuple(added_entries),
         )
-        self._delta_log.append(index_delta)
-        if len(self._delta_log) > DELTA_LOG_LIMIT:
-            del self._delta_log[: -DELTA_LOG_LIMIT]
-        return index_delta
 
     def _remove_label(
         self,

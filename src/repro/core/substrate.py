@@ -23,18 +23,21 @@ produce identical :class:`~repro.core.siblings.SiblingSet` contents
 (pairs, similarities, tie sets and shared-domain sets) — enforced by
 ``tests/test_substrate_equivalence.py``.
 
-The columnar intern pool lives on the substrate *instance*, so passing
-one instance through a longitudinal run reuses the interned domain table
-across snapshots (see :func:`repro.analysis.pipeline.detect_series`).
-:func:`get_substrate` resolves names to a process-wide shared instance.
+Each columnar engine owns its state: a :class:`DomainPool` of interned
+domain ids, and the columnar view of the one index it last prepared.
+Passing one instance through a longitudinal run reuses the pool across
+snapshots (see :func:`repro.analysis.pipeline.detect_series`);
+:func:`get_substrate` hands out a fresh instance per call.
 
 The columnar state model is *persistent-with-retraction*: the prepared
-state carries the Step-3 counter across calls, and when the underlying
-index mutates through :meth:`~repro.core.domainsets.PrefixDomainIndex.
-apply_delta`, :meth:`ColumnarSubstrate.prepare` patches the cached state
-and counter in place (retracting the removed domains' packed pair
-contributions, adding the new ones) instead of rebuilding — the engine
-room of :class:`~repro.analysis.pipeline.RollingDetection`.
+state carries the Step-3 counter across calls, and an index changes only
+through :meth:`~repro.core.domainsets.PrefixDomainIndex.apply_delta`,
+whose :class:`~repro.core.domainsets.IndexDelta` the caller hands to
+:meth:`Substrate.patch`.  :meth:`ColumnarSubstrate.patch` patches the
+held state and counter in place (retracting the removed domains' packed
+pair contributions, adding the new ones) instead of rebuilding — the
+engine room of :class:`~repro.analysis.pipeline.RollingDetection`.  An
+index edited by hand needs a fresh engine.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.core.detection import (
     compute_pair_stats,
     select_best_matches,
 )
-from repro.core.domainsets import PrefixDomainIndex
+from repro.core.domainsets import IndexDelta, PrefixDomainIndex
 from repro.core.kernels import accumulate_rowlists, patch_counts, select_scored
 from repro.core.siblings import SiblingPair, SiblingSet
 from repro.nettypes.prefix import Prefix
@@ -78,8 +81,16 @@ class Substrate(abc.ABC):
     layout, never results.
     """
 
-    #: Registry key, also shown in CLI help.
+    #: Registry key in :data:`SUBSTRATES`.
     name: ClassVar[str]
+
+    def patch(self, index: PrefixDomainIndex, delta: IndexDelta) -> None:
+        """Bring state held for *index* up to date after
+        ``index.apply_delta`` returned *delta*.
+
+        Engines that hold no state (the reference engine) have nothing
+        to do.
+        """
 
     @abc.abstractmethod
     def select(
@@ -146,8 +157,8 @@ class ReferenceSubstrate(Substrate):
 class _ColumnarState:
     """Interned, columnar view of one :class:`PrefixDomainIndex`.
 
-    Built once per (index, intern pool) and cached on the index object;
-    every field is positional/flat so Step 3 touches only machine-sized
+    Built once per index and held by the engine that built it; every
+    field is positional/flat so Step 3 touches only machine-sized
     integers.
     """
 
@@ -202,6 +213,9 @@ class _ColumnarState:
         for position, (domain, v4_prefixes) in enumerate(
             index.domain_v4_prefixes.items()
         ):
+            # Interning here, in index order, keeps gids independent of
+            # the hash-seeded order of the domain sets _build_csr walks.
+            intern_domain(domain)
             self.dom_pos[domain] = position
             self.dom_bases.append([v4_row_of[p] for p in v4_prefixes])
             self.dom_rows.append(
@@ -295,123 +309,82 @@ def _build_csr(
     return data, offsets
 
 
-class _ColumnarCacheEntry:
-    """The per-index cache slot for one prepared columnar state.
+class DomainPool:
+    """Dense domain ids: positional names plus a name → gid dict.
 
-    Tracks which substrate instance and intern-pool generation built the
-    state, plus the index version/fingerprint it is current for — the
-    keys :meth:`ColumnarSubstrate.prepare` checks before reusing or
-    patching it.
+    The columnar engine interns every domain it sees into its pool, and
+    the snapshot archive writes gids against the same positions (its
+    ``pool.*`` segments persist :attr:`names`).
     """
 
-    __slots__ = ("owner", "generation", "version", "fingerprint", "state")
+    def __init__(self) -> None:
+        #: Position *i* is the domain with gid *i*.
+        self.names: list[str] = []
+        self._gids: dict[str, int] = {}
 
-    def __init__(self, owner, generation, version, fingerprint, state):
-        self.owner = owner
-        self.generation = generation
-        self.version = version
-        self.fingerprint = fingerprint
-        self.state = state
+    def intern(self, name: str) -> int:
+        """The gid for *name*, allocated on first sight."""
+        gid = self._gids.get(name)
+        if gid is None:
+            gid = len(self.names)
+            self._gids[name] = gid
+            self.names.append(name)
+        return gid
+
+    def adopt(self, names: Iterable[str]) -> None:
+        """Align this pool with an archived one.
+
+        Interns every name in order; archived gids are positional, so
+        each name must land on its own position.  An empty pool adopts
+        wholesale; a pool that already diverged raises ``ValueError`` —
+        the caller should start over with a fresh pool rather than mix
+        two gid spaces.
+        """
+        for gid, name in enumerate(names):
+            if self.intern(name) != gid:
+                raise ValueError(
+                    "cannot adopt archived domain pool: this intern pool "
+                    "already diverged from it"
+                )
 
 
 class ColumnarSubstrate(Substrate):
     """Interned-id, posting-list execution of Steps 3-4.
 
-    The domain intern table persists on the instance, so reusing one
-    substrate across snapshots (longitudinal runs, SP-Tuner sweeps)
-    hashes every domain string exactly once.
+    The engine owns its domain pool and the columnar state of the one
+    index it last prepared.  Reusing one engine across snapshots
+    (longitudinal runs, SP-Tuner sweeps) hashes every domain string
+    exactly once, and rolling one index through it patches that state
+    instead of rebuilding it.
     """
 
     name = "columnar"
 
-    _STATE_ATTR = "_columnar_state"
-
     def __init__(self) -> None:
-        self._domain_gids: dict[str, int] = {}
-        self._domain_names: list[str] = []
-        #: Bumped by :meth:`reset_pool`; cached states from older
-        #: generations reference retired ids and must not be reused.
-        self._generation = 0
-
-    # -- interning -----------------------------------------------------------
-
-    def _intern_domain(self, domain: str) -> int:
-        """Dense id for *domain*, allocated on first sight."""
-        gid = self._domain_gids.get(domain)
-        if gid is None:
-            gid = len(self._domain_names)
-            self._domain_gids[domain] = gid
-            self._domain_names.append(domain)
-        return gid
+        self.pool = DomainPool()
+        #: The index :attr:`_state` describes, matched by identity.
+        self._index: "PrefixDomainIndex | None" = None
+        self._state: "_ColumnarState | None" = None
 
     @property
     def interned_domain_count(self) -> int:
         """How many distinct domains this pool has seen (all snapshots)."""
-        return len(self._domain_names)
-
-    def intern(self, domain: str) -> int:
-        """Public interning hook: the dense pool gid for *domain*.
-
-        Used by the snapshot archive (:mod:`repro.storage`) to encode
-        shared-domain sets as gids against the same pool the substrate
-        persists.
-        """
-        return self._intern_domain(domain)
-
-    def export_pool(self) -> list[str]:
-        """A snapshot copy of the interned pool, gid order.
-
-        Position *i* is the domain with gid *i* — the exact layout the
-        archive's ``pool.*`` segments persist.
-        """
-        return list(self._domain_names)
-
-    def adopt_pool(self, names: Iterable[str]) -> None:
-        """Align this substrate's intern pool with an archived one.
-
-        Interns every name in order and then verifies positions:
-        archived gids are positional, so the archived pool must end up
-        a prefix of (or equal to) this instance's pool.  A fresh
-        instance adopts wholesale; an instance whose pool already
-        diverged raises ``ValueError`` — the caller should fall back
-        to a full rebuild with a fresh substrate rather than mix two
-        gid spaces.
-        """
-        names = list(names)
-        for name in names:
-            self._intern_domain(name)
-        if self._domain_names[: len(names)] != names:
-            raise ValueError(
-                "cannot adopt archived domain pool: this substrate's "
-                "intern pool already diverged from it"
-            )
-
-    def reset_pool(self) -> None:
-        """Drop the interned domain table.
-
-        The pool otherwise grows with every distinct domain this
-        instance ever sees — fine within one study, unbounded in a
-        long-lived process hopping across unrelated universes.  Cached
-        columnar states referencing the old ids become stale; they are
-        invalidated here so the next :meth:`prepare` rebuilds.
-        """
-        self._domain_gids = {}
-        self._domain_names = []
-        self._generation += 1
+        return len(self.pool.names)
 
     # -- state management ----------------------------------------------------
 
     def columnarize(self, index: PrefixDomainIndex) -> _ColumnarState:
         """Build the columnar view of *index* (no caching).
 
-        This is the Steps 1-2 conversion cost; :meth:`prepare` caches the
-        result on the index so repeated Step 3 runs don't pay it again.
+        This is the Steps 1-2 conversion cost; :meth:`prepare` keeps the
+        result so repeated Step 3 runs on the same index don't pay it
+        again.
         """
-        return _ColumnarState(index, self._intern_domain)
+        return _ColumnarState(index, self.pool.intern)
 
     @staticmethod
     def _fingerprint(index: PrefixDomainIndex) -> tuple[int, ...]:
-        """Cheap staleness signature of the index's group structure."""
+        """Cheap signature of the index's group structure."""
         return (
             len(index.domain_v4_prefixes),
             len(index.v4_domains),
@@ -438,56 +411,23 @@ class ColumnarSubstrate(Substrate):
         )
 
     def prepare(self, index: PrefixDomainIndex) -> _ColumnarState:
-        """Cached :meth:`columnarize`, keyed on this substrate's pool.
+        """The columnar state of *index*: the held one, or a new build.
 
-        Freshness is keyed on the index's mutation :attr:`~repro.core.
-        domainsets.PrefixDomainIndex.version`: when the version moved and
-        the index's delta log still covers the gap, the cached state is
-        *patched* in place (:meth:`_patch_state`) — O(touched domains),
-        with the persistent Step-3 counter retracted/re-added — instead
-        of rebuilt.  A broken chain (``mark_mutated``, trimmed log, or a
-        pool reset) rebuilds from scratch.  The structural fingerprint
-        stays as a safety net against legacy in-place edits that never
-        bumped the version; count-preserving edits *must* bump it.
+        The engine holds one (index, state) pair.  *index* must change
+        only through :meth:`~repro.core.domainsets.PrefixDomainIndex.
+        apply_delta` followed by :meth:`patch`; an index edited by hand
+        after it was prepared needs a fresh engine.
         """
-        fingerprint = self._fingerprint(index)
-        version = index.version
-        cached = getattr(index, self._STATE_ATTR, None)
-        if (
-            cached is not None
-            and cached.owner is self
-            and cached.generation == self._generation
-        ):
-            if cached.version == version and cached.fingerprint == fingerprint:
-                return cached.state
-            if cached.version != version:
-                deltas = index.deltas_since(cached.version)
-                if deltas is not None:
-                    with trace("step12.patch", items=len(deltas)):
-                        for delta in deltas:
-                            self._patch_state(cached.state, index, delta)
-                    # The safety net survives the patch path: the patched
-                    # state's own structure must land on the index's
-                    # fingerprint — an unmarked hand-edit hiding behind
-                    # the deltas shows up as drift and forces a rebuild.
-                    if self._state_fingerprint(cached.state) == fingerprint:
-                        cached.version = version
-                        cached.fingerprint = fingerprint
-                        return cached.state
+        if index is self._index:
+            return self._state
         with trace("step12.columnarize") as span:
             state = self.columnarize(index)
             span.add_items(len(state.dom_pos))
-        setattr(
-            index,
-            self._STATE_ATTR,
-            _ColumnarCacheEntry(
-                self, self._generation, version, fingerprint, state
-            ),
-        )
+        self._index, self._state = index, state
         return state
 
     def adopt_state(self, index: PrefixDomainIndex, state: _ColumnarState) -> None:
-        """Attach a restored columnar *state* as *index*'s cached view.
+        """Hold a restored columnar *state* as *index*'s view.
 
         The resume hook of the snapshot archive
         (:func:`repro.storage.substrate_io.restore_state`): instead of
@@ -495,27 +435,39 @@ class ColumnarSubstrate(Substrate):
         re-accumulating Step 3 from scratch, the archived state — CSR
         posting lists, row tables, and the persistent Step-3 counter —
         is adopted wholesale.  The structural fingerprint of the state
-        must land exactly on the index's (the same cross-check the
-        delta-patch path uses); a mismatch raises ``ValueError`` and
-        the caller should fall back to a full rebuild.
+        must land exactly on the index's (the same cross-check
+        :meth:`patch` uses); a mismatch raises ``ValueError`` and the
+        caller should fall back to a full rebuild.
         """
-        fingerprint = self._fingerprint(index)
-        if self._state_fingerprint(state) != fingerprint:
+        if self._state_fingerprint(state) != self._fingerprint(index):
             raise ValueError(
                 "archived columnar state does not match this index's "
                 "group structure; rebuild instead of adopting"
             )
-        setattr(
-            index,
-            self._STATE_ATTR,
-            _ColumnarCacheEntry(
-                self, self._generation, index.version, fingerprint, state
-            ),
-        )
+        self._index, self._state = index, state
+
+    def patch(self, index: PrefixDomainIndex, delta: IndexDelta) -> None:
+        """Patch the held state of *index* by one :class:`~repro.core.
+        domainsets.IndexDelta` — O(touched domains), with the persistent
+        Step-3 counter retracted/re-added — instead of rebuilding it.
+
+        The patched state's structure must land on the index's
+        fingerprint; a mismatch (an index also edited by hand) drops
+        the state, and the next :meth:`prepare` rebuilds.
+        """
+        if index is not self._index:
+            return
+        state = self._state
+        with trace("step12.patch", items=1):
+            self._patch_state(state, index, delta)
+        if self._state_fingerprint(state) != self._fingerprint(index):
+            self._index = self._state = None
 
     # -- incremental patching --------------------------------------------------
 
-    def _patch_state(self, state: _ColumnarState, index: PrefixDomainIndex, delta) -> None:
+    def _patch_state(
+        self, state: _ColumnarState, index: PrefixDomainIndex, delta: IndexDelta
+    ) -> None:
         """Replay one :class:`~repro.core.domainsets.IndexDelta` onto *state*.
 
         Retracts the removed domains' membership rows, adds the new
@@ -532,6 +484,7 @@ class ColumnarSubstrate(Substrate):
         add_rows: list[list[int]] = []
         touched_v4: set[Prefix] = set()
         touched_v6: set[Prefix] = set()
+        intern = self.pool.intern
 
         for domain, v4_prefixes, v6_prefixes in delta.removed:
             position = state.dom_pos.pop(domain)
@@ -543,6 +496,9 @@ class ColumnarSubstrate(Substrate):
             touched_v4 |= v4_prefixes
             touched_v6 |= v6_prefixes
         for domain, v4_prefixes, v6_prefixes in delta.added:
+            # New domains take gids in delta order, never in the
+            # hash-seeded order of the member sets below.
+            intern(domain)
             bases = [state.v4_base_for(p) for p in v4_prefixes]
             rows = [state.v6_row_for(p) for p in v6_prefixes]
             if state.free_positions:
@@ -563,11 +519,10 @@ class ColumnarSubstrate(Substrate):
         # index — the CSR arrays stay untouched; touched rows answer
         # from the overlay instead.
         # Allocation (not plain lookup) also for removal-touched rows: a
-        # delta recorded after an unmarked hand-edit can mention a prefix
-        # this state never saw; allocating keeps the patch total, and the
-        # fingerprint cross-check in prepare() decides whether the
+        # delta applied after a hand-edit can mention a prefix this
+        # state never saw; allocating keeps the patch total, and the
+        # fingerprint cross-check in patch() decides whether the
         # patched state is actually usable.
-        intern = self._intern_domain
         for prefix in touched_v4:
             row = state.v4_base_for(prefix) >> 32
             members = index.v4_domains.get(prefix, ())
@@ -610,9 +565,9 @@ class ColumnarSubstrate(Substrate):
 
         The Step-3 counter persists on the prepared state: the first
         call accumulates it in full, later calls reuse it as-is, and
-        delta patching (:meth:`_patch_state`) keeps it current across
-        index mutations — the substrate state model is
-        persistent-with-retraction, not per-call.
+        :meth:`patch` keeps it current across index deltas — the
+        substrate state model is persistent-with-retraction, not
+        per-call.
         """
         state = self.prepare(index)
         counts = state.counts
@@ -643,7 +598,7 @@ class ColumnarSubstrate(Substrate):
             result = SiblingSet(index.date)
             v4_prefixes = state.v4_prefixes
             v6_prefixes = state.v6_prefixes
-            names = self._domain_names
+            names = self.pool.names
             for key, value in zip(kept_keys, kept_values):
                 a = key >> 32
                 b = key & _LOW32
@@ -684,7 +639,7 @@ class ColumnarSubstrate(Substrate):
             row = state.v6_row_of.get(prefix)
             if row is not None:
                 gids_v6 |= state.v6_gids(row)
-        names = self._domain_names
+        names = self.pool.names
         return GroupStats(
             shared_domains=frozenset(
                 map(names.__getitem__, gids_v4 & gids_v6)
@@ -703,32 +658,22 @@ SUBSTRATES: dict[str, type[Substrate]] = {
 #: The engine used when callers don't ask for a specific one.
 DEFAULT_SUBSTRATE = ColumnarSubstrate.name
 
-_shared_instances: dict[str, Substrate] = {}
-
-
 def get_substrate(spec: "str | Substrate | None" = None) -> Substrate:
     """Resolve *spec* to a substrate instance.
 
-    ``None`` means :data:`DEFAULT_SUBSTRATE`.  Names resolve to a
-    process-wide shared instance (so the columnar intern pool is reused
-    across calls); pass an explicit instance for an isolated pool.  The
-    shared pool grows with every distinct domain seen process-wide —
-    long-lived processes crossing unrelated universes should call
-    ``get_substrate().reset_pool()`` between studies or use per-study
-    instances.
+    ``None`` means :data:`DEFAULT_SUBSTRATE`.  A name builds a fresh
+    instance; an instance passes through.  A caller whose calls must
+    share one engine's state — detect and then archive, select and then
+    :meth:`~Substrate.group_stats` — resolves once and passes the
+    instance to each call.
     """
     if isinstance(spec, Substrate):
-        instance = spec
-    else:
-        name = DEFAULT_SUBSTRATE if spec is None else spec
-        try:
-            factory = SUBSTRATES[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown substrate {name!r}; choose from {sorted(SUBSTRATES)}"
-            ) from None
-        instance = _shared_instances.get(name)
-        if instance is None:
-            instance = factory()
-            _shared_instances[name] = instance
-    return instance
+        return spec
+    name = DEFAULT_SUBSTRATE if spec is None else spec
+    try:
+        factory = SUBSTRATES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown substrate {name!r}; choose from {sorted(SUBSTRATES)}"
+        ) from None
+    return factory()

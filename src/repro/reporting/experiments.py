@@ -664,9 +664,12 @@ def quality_vs_ground_truth(universe: Universe) -> ExperimentResult:
 def setpairs_future_work(universe: Universe) -> ExperimentResult:
     """Section 6 future work: sibling prefix *set* pairs."""
     from repro.core.setpairs import build_set_pairs, summarize_set_pairs
+    from repro.core.substrate import get_substrate
 
-    siblings, index = detect_at(universe, REFERENCE_DATE)
-    set_pairs = build_set_pairs(siblings, index)
+    # One engine, so set-pair scoring reuses detection's columnar state.
+    engine = get_substrate()
+    siblings, index = detect_at(universe, REFERENCE_DATE, substrate=engine)
+    set_pairs = build_set_pairs(siblings, index, substrate=engine)
     summary = summarize_set_pairs(siblings, set_pairs)
     fragmented = [sp for sp in set_pairs if sp.is_fragmented]
     lines = [

@@ -152,10 +152,11 @@ def siblings_segments(
 ) -> tuple[dict, dict]:
     """Encode one detection result into archive segments.
 
-    *intern* maps a domain name to its pool gid (the columnar
-    substrate's intern function, or a standalone pool for the
-    reference engine); every shared domain is interned so the caller's
-    pool — which it must persist via
+    *intern* maps a domain name to its pool gid (the
+    :meth:`~repro.core.substrate.DomainPool.intern` of the archive's
+    pool); every shared domain is interned, in sorted order so new gids
+    do not follow the hash-seeded set order, and the caller's pool —
+    which it must persist via
     :meth:`~repro.storage.archive.ArchiveWriter.append_pool` — covers
     all gids written here.
     """
@@ -172,7 +173,9 @@ def siblings_segments(
             pair.v4_domain_count,
             pair.v6_domain_count,
         )
-        gid_lists.append(sorted(intern(domain) for domain in pair.shared_domains))
+        gid_lists.append(
+            sorted(intern(domain) for domain in sorted(pair.shared_domains))
+        )
     gids_data, gids_offsets = _csr(gid_lists, "I")
     segments = {
         "siblings.records": bytes(records),

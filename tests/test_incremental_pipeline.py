@@ -10,8 +10,9 @@ a small series shim; the properties then compare the complete observable
 output per date, via the shared ``as_mapping`` agreement definition.
 
 Also here: the white-box guarantees the invariant rests on — the
-counter retract/add arithmetic, stale-cache invalidation through the
-index version protocol, and the annotator-signature rebuild gate.
+counter retract/add arithmetic behind ``engine.patch``, the structural
+fingerprint check that drops a patched state gone astray, and the
+annotator-signature rebuild gate.
 """
 
 import datetime
@@ -126,7 +127,9 @@ def churn_series(draw, max_dates: int = 4):
     return tables
 
 
-def run_both(tables, engine_factory):
+def run_both(tables, engine_factory, engine=None):
+    """Per-date and rolling detection over *tables*; the rolling run
+    uses *engine* when given, else a new one from *engine_factory*."""
     dates = [BASE_DATE + datetime.timedelta(days=i) for i in range(len(tables))]
     shim = SeriesShim(
         [snapshot_from_table(date, table) for date, table in zip(dates, tables)]
@@ -134,18 +137,65 @@ def run_both(tables, engine_factory):
     from repro.analysis.pipeline import detect_series
 
     full = detect_each_date(shim, dates, substrate=engine_factory())
-    incremental = detect_series(shim, dates, substrate=engine_factory())
+    incremental = detect_series(
+        shim, dates, substrate=engine if engine is not None else engine_factory()
+    )
     return dates, full, incremental
+
+
+def in_prefix_space(state, counts):
+    """A packed Step-3 counter keyed by (v4 prefix, v6 prefix) instead of
+    rows, so counters of differently numbered states compare."""
+    return {
+        (
+            state.v4_prefixes[key >> 32],
+            state.v6_prefixes[key & 0xFFFFFFFF],
+        ): count
+        for key, count in counts.items()
+    }
+
+
+class RecordingColumnar(ColumnarSubstrate):
+    """A columnar engine that counts its full builds and records its
+    Step-3 counter, in prefix space, after every select."""
+
+    def __init__(self):
+        super().__init__()
+        self.columnarized = 0
+        self.counters = []
+
+    def columnarize(self, index):
+        self.columnarized += 1
+        return super().columnarize(index)
+
+    def select(self, index, *args, **kwargs):
+        result = super().select(index, *args, **kwargs)
+        state = self.prepare(index)
+        self.counters.append(in_prefix_space(state, state.counts))
+        return result
 
 
 @given(tables=churn_series())
 @settings(max_examples=25)
 def test_incremental_equals_full_columnar(tables):
-    """Columnar engine: per-date bit-identical output under churn."""
-    dates, full, incremental = run_both(tables, ColumnarSubstrate)
+    """Columnar engine: per-date bit-identical output under churn, and
+    the patch path really runs — the fixed-routing series columnarizes
+    once, and the patched counter equals a fresh accumulation on every
+    date."""
+    engine = RecordingColumnar()
+    dates, full, incremental = run_both(tables, ColumnarSubstrate, engine)
     assert [d for d, _ in incremental] == dates
     for (_, siblings_full), (_, siblings_incremental) in zip(full, incremental):
         assert as_mapping(siblings_full) == as_mapping(siblings_incremental)
+    assert engine.columnarized == 1
+    assert len(engine.counters) == len(dates)
+    for date, table, patched in zip(dates, tables, engine.counters):
+        fresh = ColumnarSubstrate().columnarize(
+            build_index(snapshot_from_table(date, table), make_annotator())
+        )
+        assert patched == in_prefix_space(
+            fresh, ColumnarSubstrate.pair_counts(fresh)
+        )
 
 
 @given(tables=churn_series())
@@ -191,15 +241,6 @@ def test_counter_is_patched_in_place_and_exact():
     annotator = make_annotator()
     s0 = snapshot_from_table(BASE_DATE, tables[0])
     s1 = snapshot_from_table(BASE_DATE + datetime.timedelta(days=1), tables[1])
-    def in_prefix_space(state, counts):
-        return {
-            (
-                state.v4_prefixes[key >> 32],
-                state.v6_prefixes[key & 0xFFFFFFFF],
-            ): count
-            for key, count in counts.items()
-        }
-
     engine = ColumnarSubstrate()
     index = build_index(s0, annotator)
     first = engine.select(index)
@@ -212,7 +253,7 @@ def test_counter_is_patched_in_place_and_exact():
         ]
         == 1
     )
-    index.apply_delta(s0.delta_to(s1), annotator)
+    engine.patch(index, index.apply_delta(s0.delta_to(s1), annotator))
     second = engine.select(index)
     state_after = engine.prepare(index)
     # Same state object — patched, not rebuilt — and the patched
@@ -237,41 +278,11 @@ def test_counter_is_patched_in_place_and_exact():
     assert as_mapping(second) == as_mapping(reference.select(index))
 
 
-def test_stale_cache_regression_count_preserving_mutation():
-    """Moving a domain between equal-sized groups preserves every count
-    the structural fingerprint sees; before the version protocol this
-    left the cached columnar view silently stale.  ``mark_mutated`` must
-    force a rebuild."""
-    annotator = make_annotator()
-    table = {
-        "a.example": ({(0, 1)}, {(0, 1)}),
-        "b.example": ({(1, 2)}, {(1, 2)}),
-    }
-    snapshot = snapshot_from_table(BASE_DATE, table)
-    engine = ColumnarSubstrate()
-    index = build_index(snapshot, annotator)
-    before = engine.select(index)
-    assert (V4_POOL[0], V6_POOL[0]) in as_mapping(before)
-
-    # Hand-edit: a.example's v4 membership moves pool 0 → pool 5.  All
-    # five fingerprint counts (domains, groups per family, memberships
-    # per family) are unchanged.
-    index.v4_domains[V4_POOL[5]] = index.v4_domains.pop(V4_POOL[0])
-    index.domain_v4_prefixes["a.example"] = {V4_POOL[5]}
-    index.mark_mutated()
-
-    after = engine.select(index)
-    mapping = as_mapping(after)
-    assert (V4_POOL[5], V6_POOL[0]) in mapping
-    assert (V4_POOL[0], V6_POOL[0]) not in mapping
-    assert as_mapping(get_substrate("reference").select(index)) == mapping
-
-
 def test_unmarked_hand_edit_behind_delta_still_rebuilds():
-    """A hand-edit that never called ``mark_mutated`` followed by
-    ``apply_delta`` must not slip past the patch path: the patched
-    state's structure disagrees with the index fingerprint, so prepare
-    falls back to a rebuild — the pre-incremental safety net survives."""
+    """A hand-edit followed by ``apply_delta`` and ``engine.patch`` must
+    not slip past the patch path: the patched state's structure
+    disagrees with the index fingerprint, so patch drops the state and
+    the next prepare rebuilds — the fingerprint safety net survives."""
     tables = _two_date_tables()
     annotator = make_annotator()
     s0 = snapshot_from_table(BASE_DATE, tables[0])
@@ -279,15 +290,15 @@ def test_unmarked_hand_edit_behind_delta_still_rebuilds():
     engine = ColumnarSubstrate()
     index = build_index(s0, annotator)
     engine.select(index)
-    # Structure-changing hand-edit, no mark_mutated, on a domain the
-    # delta does NOT touch (a.example is identical on both dates), so
-    # the edit persists after apply_delta: a.example also joins pool 7
-    # on the v4 side.
+    # Structure-changing hand-edit behind the engine's back, on a
+    # domain the delta does NOT touch (a.example is identical on both
+    # dates), so the edit persists after apply_delta: a.example also
+    # joins pool 7 on the v4 side.
     index.v4_domains.setdefault(V4_POOL[7], set()).add("a.example")
     index.domain_v4_prefixes["a.example"] = set(
         index.domain_v4_prefixes["a.example"]
     ) | {V4_POOL[7]}
-    index.apply_delta(s0.delta_to(s1), annotator)
+    engine.patch(index, index.apply_delta(s0.delta_to(s1), annotator))
     mapping = as_mapping(engine.select(index))
     assert mapping == as_mapping(get_substrate("reference").select(index))
     assert any(v4 == V4_POOL[7] for v4, _ in mapping)

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.addr import format_ipv6
 from repro.nettypes.prefix import Prefix
+from repro.storage.archive import ArchiveReader
 from repro.storage.format import FOOTER
 from repro.storage.index_io import load_mapped_index
 
@@ -196,6 +197,15 @@ class TestServingCli:
             == 0
         )
         return csv_path, index_path
+
+    def test_detect_archive_keeps_step3_counter(self, exports):
+        """``detect --archive`` archives the state of the engine that
+        detected, so the resume state carries its Step-3 counter."""
+        _, index_path = exports
+        with ArchiveReader.open(index_path) as reader:
+            state_meta = reader.latest("state").meta["state"]
+        assert state_meta["has_counts"]
+        assert state_meta["pairs"] > 0
 
     def test_lookup_index_matches_csv(self, exports, capsys):
         csv_path, index_path = exports

@@ -239,22 +239,6 @@ class TestApplyDelta:
         assert_index_contents_equal(index, build_index(back, make_annotator()))
         assert index.dropped_domains == 0
 
-    def test_version_and_delta_log(self):
-        annotator = make_annotator()
-        s0 = snap(DATE_0, [obs("a.example", [v4(0)], [v6(0)])])
-        s1 = snap(DATE_1, [obs("b.example", [v4(1)], [v6(1)])])
-        index = build_index(s0, annotator)
-        assert index.version == 0
-        recorded = index.apply_delta(s0.delta_to(s1), annotator)
-        assert index.version == 1 == recorded.version
-        assert index.deltas_since(0) == [recorded]
-        assert index.deltas_since(1) == []
-        index.mark_mutated()
-        assert index.version == 2
-        # mark_mutated leaves no delta: the chain from 1 is broken.
-        assert index.deltas_since(1) is None
-        assert index.deltas_since(0) is None
-
 
 def test_rib_signature_tracks_contents():
     rib_a = Rib()

@@ -22,6 +22,7 @@ Three invariant families:
 import array
 import datetime
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -880,6 +881,37 @@ if point == "mid_footer":
 CRASH_POINTS = (
     "after_segment_1", "after_segment_2", "after_manifest", "mid_footer"
 )
+
+
+class TestArchiveDeterminism:
+    """Archive bytes must not depend on the interpreter's string hash
+    seed: pool gids follow index and delta order, never set order."""
+
+    @staticmethod
+    def _archive_bytes(tmp_path, seed: int, *command: str) -> bytes:
+        path = tmp_path / f"seed{seed}.sparch"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", *command, "--archive", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ("detect", "--scenario", "tiny", "--format", "csv"),
+            ("scenario", "run", "mixed", "--via", "watch"),
+        ),
+        ids=("detect", "watch"),
+    )
+    def test_archive_bytes_independent_of_hash_seed(self, tmp_path, command):
+        first = self._archive_bytes(tmp_path, 1, *command)
+        assert first == self._archive_bytes(tmp_path, 2, *command)
 
 
 class TestCrashRecovery:

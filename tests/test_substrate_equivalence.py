@@ -142,28 +142,15 @@ def test_interned_pool_reuse_is_exact():
         assert _as_mapping(siblings) == _as_mapping(fresh)
 
 
-def test_reset_pool_invalidates_cached_state():
-    """After a pool reset, prepared states rebuild and stay exact."""
-    universe = build_universe(SCENARIO_CONFIGS["tiny"])
-    idx = build_index(
-        universe.snapshot_at(REFERENCE_DATE),
-        universe.annotator_at(REFERENCE_DATE),
-    )
-    engine = ColumnarSubstrate()
-    before = engine.select(idx)
-    interned = engine.interned_domain_count
-    assert interned > 0
-    engine.reset_pool()
-    assert engine.interned_domain_count == 0
-    after = engine.select(idx)  # must rebuild, not reuse stale ids
-    assert engine.interned_domain_count == interned
-    assert _as_mapping(before) == _as_mapping(after)
-
-
 def test_registry_contents():
-    """All engines are registered; the default resolves and is shared."""
+    """All engines are registered; every name resolves to a new,
+    independent instance, and an instance passes through."""
     assert set(SUBSTRATES) == {"reference", "columnar"}
     assert DEFAULT_SUBSTRATE in SUBSTRATES
-    assert get_substrate() is get_substrate(DEFAULT_SUBSTRATE)
+    first, second = get_substrate(), get_substrate(DEFAULT_SUBSTRATE)
+    assert type(first) is type(second) is SUBSTRATES[DEFAULT_SUBSTRATE]
+    assert first is not second
+    assert first.pool is not second.pool
+    assert get_substrate(first) is first
     with pytest.raises(KeyError):
         get_substrate("no-such-substrate")
